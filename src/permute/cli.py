@@ -129,21 +129,42 @@ def _header_value(line: str, key: str) -> str:
 
 
 def load_trace(path: Path) -> TraceData:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Parse a trace file; a truncated or malformed one raises
+    TraceFormatError."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not a text file: {exc}") from None
     if not lines or lines[0] != TRACE_MAGIC:
         raise TraceFormatError(f"{path}: not a permute trace file")
+    if len(lines) < 6:
+        raise TraceFormatError(f"{path}: truncated header")
     _header_value(lines[1], "version")
     scenario = Path(_header_value(lines[2], "scenario"))
     digest = _header_value(lines[3], "scenario_sha256")
-    config = ExplorationConfig(**json.loads(_header_value(lines[4], "config")))
-    count = int(_header_value(lines[5], "steps"))
+    try:
+        config = ExplorationConfig(**json.loads(_header_value(lines[4], "config")))
+    except (ValueError, TypeError) as exc:   # bad JSON, unknown key, bad value
+        raise TraceFormatError(f"{path}: bad config line: {exc}") from None
+    count_text = _header_value(lines[5], "steps")
+    try:
+        count = int(count_text)
+    except ValueError:
+        raise TraceFormatError(f"{path}: bad step count {count_text!r}") from None
+    if len(lines) < 8 + count:
+        raise TraceFormatError(f"{path}: truncated: {count} steps and a footer "
+                               f"need {8 + count} lines, found {len(lines)}")
     steps = []
     for k in range(count):
         parts = lines[6 + k].split(" ", 6)
         if len(parts) < 6 or parts[0] != "step" or parts[2] != "thread":
             raise TraceFormatError(f"{path}: malformed step line {lines[6 + k]!r}")
+        try:
+            tid = int(parts[3])
+        except ValueError:
+            raise TraceFormatError(f"{path}: malformed step line {lines[6 + k]!r}") from None
         payload = parts[6] if len(parts) > 6 else "-"
-        steps.append(ScheduleStep(int(parts[3]), parts[4], parts[5], payload))
+        steps.append(ScheduleStep(tid, parts[4], parts[5], payload))
     verdict = _header_value(lines[6 + count], "verdict")
     fp = _header_value(lines[7 + count], "fingerprint")
     return TraceData(scenario, digest, config, steps, verdict, fp)

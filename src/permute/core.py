@@ -115,6 +115,17 @@ class Transition:
         """ObjectIds of mutexes whose wait queue this transition mutates."""
         return ()
 
+    def footprint(self) -> Optional[tuple]:
+        """Keys of everything this transition's dependence claims can touch.
+
+        The engine only tests dependence between steps that share a key (or
+        a thread relation, which the framework rule covers), so any
+        transition this one may claim a conflict with -- or that may claim
+        one with it -- must share a key.  None is the wildcard: the step is
+        tested against everything, which is always sound.
+        """
+        return None
+
     # -- identity ----------------------------------------------------------
 
     def triple(self) -> tuple:

@@ -6,8 +6,19 @@ frontier it computes backtrack points for the pending transition of each
 enabled thread (the full Flanagan-Godefroid form), runs the lowest eligible
 thread id, and descends.  Finished subtrees push their transition into the
 frame's sleep set so sibling branches skip reorderings that are already
-covered.  Backtracking restores model state from snapshots and repositions
-the thread bodies by deterministic prefix re-execution.
+covered.
+
+The backward scans for backtrack points and for clock vectors only visit
+steps that can conflict: a footprint index lists the trace positions of each
+footprint key, of each thread, and of wildcard steps (see
+`Transition.footprint`).
+
+Backtracking restores model state from the frame snapshots.  Thread bodies
+are generators and cannot be rewound, so only the bodies the popped steps
+resumed are moved back: each is restarted and re-driven through its own
+steps of the remaining prefix, with the results recorded in the snapshots,
+and every request it surfaces again must match the pending transition the
+snapshot holds (otherwise NondeterminismDetected).
 """
 
 from __future__ import annotations
@@ -30,13 +41,15 @@ from .core import (
 )
 from .runtime import (
     BuildContext,
+    NondeterminismDetected,
     Program,
-    ReplayCursor,
     RuntimeSession,
-    ScheduleStep,
     execute_step,
     initial_state,
+    moved_bodies,
+    resume_body,
     schedule_step,
+    surfaced_transition,
 )
 
 # Trace verdicts.
@@ -125,24 +138,95 @@ def propagate_sleep_set(sleep: dict, executed: Transition) -> dict:
     return {k: t for k, t in sleep.items() if not dependent(t, executed)}
 
 
-def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
-                          next_t: Transition) -> None:
-    """Add a backtrack point at the pre-state of the latest transition that
-    is dependent with, co-enabled with, and not causally before `next_t`."""
-    for i in range(len(trace) - 1, -1, -1):
-        prior = trace[i]
-        if not dependent(prior, next_t):
-            continue
-        if not coenabled(prior, next_t):
-            continue
-        if happens_before(i, trace, frontier.thread_clocks, next_t):
-            continue
-        entry = stack[i]
-        if next_t.executor in entry.enabled:
-            entry.backtrack.add(next_t.executor)
+class FootprintIndex:
+    """Trace positions by footprint key and by thread, pushed and popped in
+    step with the trace.
+
+    A step is listed under each key of its footprint, or in the wildcard
+    list when it declares none, and under its executor and its
+    thread_target.  Two steps can only be dependent when they share one of
+    these lists or one of them is a wildcard, so a scan for the steps a
+    transition may depend on need only visit its own lists plus the
+    wildcard list; a wildcard transition visits every position.
+    """
+
+    __slots__ = ("by_key", "by_thread", "wildcard", "lists_at")
+
+    def __init__(self):
+        self.by_key: dict = {}
+        self.by_thread: dict = {}
+        self.wildcard: list = []
+        self.lists_at: list = []     # per trace position: the lists holding it
+
+    def _lists(self, t: Transition, footprint) -> list:
+        lists = [self.by_thread.setdefault(t.executor, [])]
+        if t.thread_target is not None:
+            lists.append(self.by_thread.setdefault(t.thread_target, []))
+        if footprint is None:
+            lists.append(self.wildcard)
         else:
-            entry.backtrack.update(entry.enabled)
+            for key in footprint:
+                lists.append(self.by_key.setdefault(key, []))
+        return lists
+
+    def push(self, t: Transition) -> None:
+        lists = self._lists(t, t.footprint())
+        position = len(self.lists_at)
+        for positions in lists:
+            positions.append(position)
+        self.lists_at.append(lists)
+
+    def pop(self) -> None:
+        for positions in self.lists_at.pop():
+            positions.pop()
+
+    def candidates(self, t: Transition) -> list:
+        """Ascending position lists that together hold every step `t` may
+        be dependent with (a position may appear in more than one)."""
+        footprint = t.footprint()
+        if footprint is None:
+            return [range(len(self.lists_at))]
+        lists = self._lists(t, footprint)
+        lists.append(self.wildcard)
+        return lists
+
+
+def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
+                          next_t: Transition,
+                          index: Optional[FootprintIndex] = None) -> None:
+    """Add a backtrack point at the pre-state of the latest transition that
+    is dependent with, co-enabled with, and not causally before `next_t`.
+
+    With an index of `trace`, only its candidate steps are tested: the
+    latest qualifying step of each candidate list, the latest of those
+    winning.  Without one, every step is.
+    """
+    lists = index.candidates(next_t) if index is not None else [range(len(trace))]
+    executor = next_t.executor
+    latest = -1
+    for positions in lists:
+        for i in reversed(positions):
+            if i <= latest:
+                break
+            prior = trace[i]
+            # Steps of next_t's own thread are never co-enabled with it.
+            if prior.executor == executor:
+                continue
+            if not dependent(prior, next_t):
+                continue
+            if not coenabled(prior, next_t):
+                continue
+            if happens_before(i, trace, frontier.thread_clocks, next_t):
+                continue
+            latest = i
+            break
+    if latest < 0:
         return
+    entry = stack[latest]
+    if executor in entry.enabled:
+        entry.backtrack.add(executor)
+    else:
+        entry.backtrack.update(entry.enabled)
 
 
 def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
@@ -171,14 +255,15 @@ class _Search:
         self.trace_sink = trace_sink
         self.observer = observer
         self.report = ExplorationReport()
-        self.ctx = BuildContext(program, None, config.policy_overrides,
+        self.ctx = BuildContext(program, config.policy_overrides,
                                 config.max_spurious_wakeups)
         self.session = RuntimeSession(program, self.ctx)
         state0 = initial_state(program, self.session, self.ctx)
         self.stack = [StackEntry(state0, {}, {0: EMPTY_CLOCK})]
         self.trace: list = []
         self.step_clocks: list = []
-        self.session_fresh = True
+        self.index = FootprintIndex()
+        self.moved: set = set()   # threads whose bodies are ahead of the trace
         self.race_seen: set = set()
         self.segment_findings: list = []
         self.stop = False
@@ -190,9 +275,8 @@ class _Search:
         idx = report.traces
         report.traces += 1
         # Transition work is counted per finished schedule, prefix included:
-        # every trace re-executes its whole path (the engine replays prefixes
-        # when it backtracks), so this is the number of transitions actually
-        # run to finish model checking.  Exit bookkeeping steps don't count.
+        # the transitions it takes to run every explored schedule from its
+        # start.  Exit bookkeeping steps don't count.
         report.total_transitions += sum(1 for t in self.trace if t.kind != "exit")
         if verdict == DEADLOCK:
             report.deadlocks += 1
@@ -267,18 +351,50 @@ class _Search:
 
     # -- session repositioning -------------------------------------------
 
-    def _resync_session(self) -> None:
-        cursor = ReplayCursor(self.program,
-                              policy_overrides=self.config.policy_overrides,
-                              max_spurious=self.config.max_spurious_wakeups,
-                              budget=self.config.max_depth_per_thread,
-                              registry=self.ctx.registry)
-        for t in self.trace:
-            cursor.step(schedule_step(t))
-        # Findings raised during re-execution were recorded when the edge
-        # was first executed; a replay must not double-count them.
-        self.session = cursor.session
-        self.session_fresh = True
+    def _redrive(self) -> None:
+        """Restart each moved body and drive it through its own steps of the
+        trace.  Findings were recorded when the steps first ran and are not
+        recorded again."""
+        session, stack, trace = self.session, self.stack, self.trace
+        for tid in sorted(self.moved):
+            session.rewind(tid)
+            if tid == 0:   # thread 0 is started by the search, not a create
+                self._check_surfaced(tid, -1, *resume_body(session, tid, True))
+            for i in self.index.by_thread.get(tid, ()):
+                t = trace[i]
+                for body, from_start in moved_bodies(t):
+                    if body == tid:
+                        result = None if from_start else t.result_in(stack[i].pre_state)
+                        self._check_surfaced(
+                            tid, i, *resume_body(session, tid, from_start, result))
+        self.moved.clear()
+
+    def _check_surfaced(self, tid: ThreadId, i: int, op, crash) -> None:
+        """Compare what a re-driven body surfaced after step i (-1: at its
+        start) with the pending transition recorded in the snapshot."""
+        state = self.stack[i + 1].pre_state
+        expected = state.threads[tid].pending
+        if crash is None:
+            # A divergent request may name a new object: build it on a copy
+            # of the object table so that the snapshot stays as recorded.
+            scratch = ModelState(dict(state.objects), state.threads,
+                                 state.shared_vars, state.spurious_used)
+            t = surfaced_transition(tid, op, scratch, self.ctx)
+            # Equal fields make equal schedule steps; the schedule-step form,
+            # which replays compare, decides the rest.
+            if expected is not None and (
+                    (t.kind, t.object_name, t.payload)
+                    == (expected.kind, expected.object_name, expected.payload)
+                    or schedule_step(t) == schedule_step(expected)):
+                return
+            surfaced = schedule_step(t)
+        elif expected is None:
+            return
+        else:
+            surfaced = f"a crash ({crash.cause!r})"
+        recorded = "a crash" if expected is None else schedule_step(expected)
+        raise NondeterminismDetected(
+            i + 1, f"thread {tid} re-executed to {surfaced}, recorded {recorded}")
 
     # -- main loop ---------------------------------------------------------
 
@@ -300,7 +416,7 @@ class _Search:
                 # alternative ordering must be scheduled at that older frame.
                 for tid in self._update_candidates(frame):
                     update_backtrack_sets(self.stack, self.trace, frame,
-                                          frame.pre_state.pending_of(tid))
+                                          frame.pre_state.pending_of(tid), self.index)
                 seed = None
                 for tid in frame.enabled:
                     if frame.pre_state.pending_of(tid).triple() not in frame.sleep:
@@ -316,8 +432,8 @@ class _Search:
             if tid is None:
                 self._pop()
                 continue
-            if not self.session_fresh:
-                self._resync_session()
+            if self.moved:
+                self._redrive()
             self._execute(frame, tid)
         return self.report
 
@@ -327,9 +443,10 @@ class _Search:
             return
         executed = self.trace.pop()
         self.step_clocks.pop()
+        self.index.pop()
         if self.config.sleep_sets_enabled:
             self.stack[-1].sleep[executed.triple()] = executed
-        self.session_fresh = False
+        self.moved.update(body for body, _ in moved_bodies(executed))
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
         outcome = execute_step(self.session, frame.pre_state, tid, self.ctx)
@@ -339,11 +456,15 @@ class _Search:
         self._record_step_findings(outcome.findings)
 
         # Clock vector of this step: max of the thread's previous clock and
-        # the clocks of all earlier dependent steps, then its own entry.
+        # the clocks of all earlier dependent steps, then its own entry.  The
+        # thread's clock already covers the clocks of its own earlier steps.
         clock = frame.thread_clocks.get(tid, EMPTY_CLOCK)
-        for j, prior in enumerate(self.trace):
-            if dependent(prior, t):
-                clock = clock.merged(self.step_clocks[j])
+        trace, step_clocks = self.trace, self.step_clocks
+        for positions in self.index.candidates(t):
+            for j in positions:
+                prior = trace[j]
+                if prior.executor != tid and dependent(prior, t):
+                    clock = clock.merged(step_clocks[j])
         clock = clock.with_entry(tid, len(self.trace) + 1)
         child_clocks = dict(frame.thread_clocks)
         child_clocks[tid] = clock
@@ -355,6 +476,7 @@ class _Search:
                        if self.config.sleep_sets_enabled else {})
         self.trace.append(t)
         self.step_clocks.append(clock)
+        self.index.push(t)
         self.stack.append(StackEntry(outcome.state, child_sleep, child_clocks))
 
         if self.config.stop_at_first_failure and any(
@@ -379,7 +501,8 @@ def explore(program: Program, config: Optional[ExplorationConfig] = None,
 
 __all__ = [
     "BLOCKED", "BUDGET_EXHAUSTED", "COMPLETED", "DEADLOCK", "STOPPED_ON_FAILURE",
-    "ExplorationConfig", "ExplorationReport", "StackEntry", "TraceResult",
+    "ExplorationConfig", "ExplorationReport", "FootprintIndex", "StackEntry",
+    "TraceResult",
     "classify_endstate", "explore", "propagate_sleep_set", "select_next",
     "update_backtrack_sets",
 ]

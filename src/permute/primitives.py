@@ -4,7 +4,8 @@ readers-and-two-writers variant), barrier, shared variables, assertions.
 
 Each transition family also serves as the worked example for extensions:
 subclass `Transition`, define the enabled predicate, narrow the dependence
-and co-enabledness claims you understand, and give the apply action.
+and co-enabledness claims you understand, give the apply action, and
+optionally declare the footprint the search indexes steps by.
 
 Wait-style operations split into an enqueue step and a finish step so that
 wakeup policies (who gets to complete the wait) are expressible as plain
@@ -66,6 +67,17 @@ def _eligible(queue: list, item, policy: str) -> bool:
     return item in queue
 
 
+class _ObjectOp(Transition):
+    """An operation on the one object or variable it names.  Its dependence
+    claims only look at that object, so its footprint is the object's key;
+    operations that also touch a mutex add the mutex's id."""
+
+    __slots__ = ()
+
+    def footprint(self):
+        return (self.object_key(),)
+
+
 # ---------------------------------------------------------------------------
 # Mutex
 # ---------------------------------------------------------------------------
@@ -105,7 +117,7 @@ class MutexObj(VisibleObject):
         return self.policy == ARB_FUSED or not self.queue
 
 
-class MutexEnqueue(Transition):
+class MutexEnqueue(_ObjectOp):
     """First half of a lock under a queued policy; registers the caller."""
 
     kind = "lock_enqueue"
@@ -133,7 +145,7 @@ class MutexEnqueue(Transition):
         return s
 
 
-class MutexLock(Transition):
+class MutexLock(_ObjectOp):
     kind = "lock"
     __slots__ = ()
 
@@ -162,7 +174,7 @@ class MutexLock(Transition):
         return s
 
 
-class MutexUnlock(Transition):
+class MutexUnlock(_ObjectOp):
     kind = "unlock"
     __slots__ = ()
 
@@ -214,7 +226,7 @@ class SemObj(VisibleObject):
         return (self.value, tuple(self.queue), self.policy)
 
 
-class SemPost(Transition):
+class SemPost(_ObjectOp):
     kind = "sem_post"
     __slots__ = ()
 
@@ -229,7 +241,7 @@ class SemPost(Transition):
         return s
 
 
-class SemGetValue(Transition):
+class SemGetValue(_ObjectOp):
     kind = "sem_getvalue"
     __slots__ = ()
 
@@ -243,7 +255,7 @@ class SemGetValue(Transition):
         return state.objects[self.oid].value
 
 
-class SemEnqueue(Transition):
+class SemEnqueue(_ObjectOp):
     kind = "sem_enqueue"
     __slots__ = ("policy",)
 
@@ -268,7 +280,7 @@ class SemEnqueue(Transition):
         return s
 
 
-class SemWaitFinish(Transition):
+class SemWaitFinish(_ObjectOp):
     """Second half of a split wait: consume one unit and leave the queue."""
 
     kind = "sem_finish"
@@ -290,7 +302,7 @@ class SemWaitFinish(Transition):
         return s
 
 
-class SemWaitFused(Transition):
+class SemWaitFused(_ObjectOp):
     """Atomic wait under the arbitrary-no-enqueue policy: no queue at all."""
 
     kind = "sem_wait"
@@ -352,7 +364,7 @@ class CondObj(VisibleObject):
 COND_KINDS = ("cond_enqueue", "cond_wake", "cond_signal", "cond_broadcast")
 
 
-class CondEnqueue(Transition):
+class CondEnqueue(_ObjectOp):
     """First half of a wait: atomically release the mutex and join the queue."""
 
     kind = "cond_enqueue"
@@ -366,6 +378,9 @@ class CondEnqueue(Transition):
 
     def mutex_owner_refs(self):
         return (self.mutex_oid,)
+
+    def footprint(self):
+        return (self.oid, self.mutex_oid)
 
     def usage_error(self, state):
         if state.objects[self.mutex_oid].owner != self.executor:
@@ -393,7 +408,7 @@ class CondEnqueue(Transition):
         return s
 
 
-class CondWakeFinish(Transition):
+class CondWakeFinish(_ObjectOp):
     """Second half of a wait: leave the queue and reacquire the mutex.
 
     Enabled when the caller holds a wake permit -- a bound grant, a floating
@@ -410,6 +425,9 @@ class CondWakeFinish(Transition):
 
     def mutex_owner_refs(self):
         return (self.mutex_oid,)
+
+    def footprint(self):
+        return (self.oid, self.mutex_oid)
 
     def enabled_in(self, state):
         cond = state.objects[self.oid]
@@ -444,7 +462,7 @@ class CondWakeFinish(Transition):
         return s
 
 
-class CondSignal(Transition):
+class CondSignal(_ObjectOp):
     kind = "cond_signal"
     __slots__ = ()
 
@@ -472,7 +490,7 @@ class CondSignal(Transition):
         return s
 
 
-class CondBroadcast(Transition):
+class CondBroadcast(_ObjectOp):
     kind = "cond_broadcast"
     __slots__ = ()
 
@@ -628,7 +646,7 @@ class RWWLockObj(RWLockObj):
         self.active_writer = tid
 
 
-class _RWTransition(Transition):
+class _RWTransition(_ObjectOp):
     """Common dependence rule: everything on the same lock conflicts, except
     two reader acquisitions, which share."""
 
@@ -643,17 +661,20 @@ class _RWTransition(Transition):
 _WRITER_LOCK_KINDS = ("wr_lock", "wr1_lock", "wr2_lock")
 
 
+_ENQUEUE_KINDS = {"r": "rd_enqueue", "w": "wr_enqueue",
+                  "w1": "wr1_enqueue", "w2": "wr2_enqueue"}
+_WRITER_KIND_OF_TAG = {"w": "wr_lock", "w1": "wr1_lock", "w2": "wr2_lock"}
+
+
 class RWEnqueue(_RWTransition):
-    __slots__ = ("tag",)
+    # The kind depends on the tag; it is fixed once here because the search
+    # reads it on every dependence test.
+    __slots__ = ("tag", "kind")
 
     def __init__(self, executor, oid, name, tag):
         super().__init__(executor, oid, name)
         self.tag = tag
-
-    @property
-    def kind(self):  # type: ignore[override]
-        return {"r": "rd_enqueue", "w": "wr_enqueue",
-                "w1": "wr1_enqueue", "w2": "wr2_enqueue"}[self.tag]
+        self.kind = _ENQUEUE_KINDS[tag]
 
     def apply_to(self, state):
         s = state.clone()
@@ -680,15 +701,12 @@ class RWReaderLock(_RWTransition):
 
 
 class RWWriterLock(_RWTransition):
-    __slots__ = ("tag",)
+    __slots__ = ("tag", "kind")
 
     def __init__(self, executor, oid, name, tag):
         super().__init__(executor, oid, name)
         self.tag = tag
-
-    @property
-    def kind(self):  # type: ignore[override]
-        return {"w": "wr_lock", "w1": "wr1_lock", "w2": "wr2_lock"}[self.tag]
+        self.kind = _WRITER_KIND_OF_TAG[tag]
 
     def enabled_in(self, state):
         return state.objects[self.oid].can_acquire_writer(self.executor, self.tag)
@@ -743,7 +761,7 @@ class BarrierObj(VisibleObject):
         return (self.parties, self.arrived)
 
 
-class BarrierArrive(Transition):
+class BarrierArrive(_ObjectOp):
     kind = "arrive"
     __slots__ = ()
 
@@ -758,7 +776,7 @@ class BarrierArrive(Transition):
         return s
 
 
-class BarrierWaitFinish(Transition):
+class BarrierWaitFinish(_ObjectOp):
     kind = "barrier_finish"
     __slots__ = ()
 
@@ -785,6 +803,9 @@ class ThreadCreate(Transition):
 
     def depends_with(self, other):
         return False  # the framework create/join rule covers the child
+
+    def footprint(self):
+        return ()
 
     def coenabled_with(self, other):
         # The child has no pending transition until the create applies.
@@ -818,6 +839,9 @@ class ThreadJoin(Transition):
     def depends_with(self, other):
         return False
 
+    def footprint(self):
+        return ()
+
     def coenabled_with(self, other):
         # Enabled only once the target has exited, i.e. once the target can
         # have no transition of its own.
@@ -830,6 +854,9 @@ class ThreadExit(Transition):
 
     def depends_with(self, other):
         return False
+
+    def footprint(self):
+        return ()
 
     def apply_to(self, state):
         s = state.clone()
@@ -844,7 +871,7 @@ class ThreadExit(Transition):
 # ---------------------------------------------------------------------------
 
 
-class VarRead(Transition):
+class VarRead(_ObjectOp):
     kind = "read"
     __slots__ = ()
 
@@ -855,7 +882,7 @@ class VarRead(Transition):
         return state.shared_vars[self.object_name]
 
 
-class VarWrite(Transition):
+class VarWrite(_ObjectOp):
     kind = "write"
     __slots__ = ()
 
@@ -888,6 +915,9 @@ class AssertCheck(Transition):
 
     def depends_with(self, other):
         return other.kind == "write" and other.object_name in self.var_refs
+
+    def footprint(self):
+        return self.var_refs
 
     def assertion_failure(self, state):
         if not self.predicate(state.shared_vars):

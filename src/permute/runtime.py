@@ -5,8 +5,8 @@ the engine decides when to run it, and the request's result (for reads) is
 delivered when the generator resumes.  Between two yields a body may only do
 thread-local work.  Given the same sequence of delivered results a body must
 emit the same requests; that determinism contract is what lets the engine
-re-execute schedule prefixes instead of forking the process, and it is
-checked on every replay.
+restart a body and re-drive it through its steps instead of forking the
+process, and it is checked on every re-drive and every replay.
 
 Wait-style requests (`sem_wait`, `cond_wait`, `lock` under a queued policy,
 read/write lock acquisition, `barrier_wait`) are split here into their
@@ -198,8 +198,8 @@ class Program:
 class ObjectRegistry:
     """Deterministic object-name -> id assignment, first encounter wins.
 
-    The registry outlives session rebuilds within one exploration so that
-    ids stay stable across prefix re-executions.
+    One registry serves a whole exploration, so an object keeps its id on
+    every branch of the search.
     """
 
     def __init__(self):
@@ -225,10 +225,10 @@ class BuildContext:
     """Everything transition building needs: the program, object identity,
     and the resolved policy/spurious configuration."""
 
-    def __init__(self, program: Program, registry: Optional[ObjectRegistry] = None,
-                 policy_overrides: Optional[dict] = None, max_spurious: int = 0):
+    def __init__(self, program: Program, policy_overrides: Optional[dict] = None,
+                 max_spurious: int = 0):
         self.program = program
-        self.registry = registry if registry is not None else ObjectRegistry()
+        self.registry = ObjectRegistry()
         self.policy_overrides = dict(policy_overrides or {})
         self.max_spurious = max_spurious
         self.decls = {d.name: d for d in program.declarations}
@@ -313,6 +313,10 @@ class RuntimeSession:
 
     def current_op(self, tid: ThreadId) -> Optional[OpRequest]:
         return self.runs[tid].current
+
+    def rewind(self, tid: ThreadId) -> None:
+        """Drop a thread's body so that the next `spawn` starts it afresh."""
+        self.runs[tid] = _ThreadRun()
 
     def _advance_gen(self, tid, run, result=None, first=False):
         try:
@@ -589,21 +593,47 @@ def initial_state(program: Program, session: RuntimeSession,
         if decl.kind == "var":
             state.shared_vars[decl.name] = decl.attrs.get("init", 0)
     op = session.start()
-    _install_pending(state, session, ctx, 0, op)
+    state.threads[0].pending = surfaced_transition(0, op, state, ctx)
     return state
 
 
-def _install_pending(state, session, ctx, tid, op):
+def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelState,
+                        ctx: BuildContext) -> Transition:
+    """The pending transition for a request a body surfaced; a body that
+    returned (`op` None) has its exit step pending."""
     if op is None:
-        state.threads[tid].pending = prim.ThreadExit(tid)
-    else:
-        state.threads[tid].pending = build_transition(PendingOp(tid, op), state, ctx)
+        return prim.ThreadExit(tid)
+    return build_transition(PendingOp(tid, op), state, ctx)
+
+
+def moved_bodies(t: Transition) -> tuple:
+    """The bodies a granted transition resumes, in order, as (thread, from
+    start) pairs: the executor past the step (an exit resumes nothing), then
+    the child a create starts."""
+    kind = t.kind
+    if kind == "exit":
+        return ()
+    if kind == "create":
+        return ((t.executor, False), (t.thread_target, True))
+    return ((t.executor, False),)
+
+
+def resume_body(session: RuntimeSession, tid: ThreadId, from_start: bool, result=None):
+    """Drive one body to its next request: spawn it, or deliver `result` of
+    its last step.  Returns (request, None), the request being None when the
+    body returned, or (None, BodyCrash) when the body raised."""
+    try:
+        op = session.spawn(tid) if from_start else session.advance(tid, result)
+    except BodyCrash as crash:
+        return None, crash
+    return op, None
 
 
 def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
                  ctx: BuildContext) -> StepOutcome:
-    """Run one granted transition: apply it to the model, resume the body to
-    its next visible operation, and install the new pending transition."""
+    """Run one granted transition: apply it to the model, resume the bodies
+    it moves to their next visible operation, and install their new pending
+    transitions."""
     t = state.threads[tid].pending
     if t is None:
         raise ProgramError(f"thread {tid} has no pending transition")
@@ -619,27 +649,15 @@ def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
     new_state = t.apply_to(state)
     if t.kind != "exit":
         new_state.threads[tid].executed += 1
-        try:
-            op = session.advance(tid, result)
-        except BodyCrash as crash:
+    for body, from_start in moved_bodies(t):
+        op, crash = resume_body(session, body, from_start, result)
+        info = new_state.threads[body]
+        if crash is None:
+            info.pending = surfaced_transition(body, op, new_state, ctx)
+        else:
             findings.append(Finding("crash", str(crash)))
-            info = new_state.threads[tid]
             info.status = EXITED
             info.pending = None
-        else:
-            _install_pending(new_state, session, ctx, tid, op)
-
-    if t.kind == "create":
-        child = t.thread_target
-        try:
-            child_op = session.spawn(child)
-        except BodyCrash as crash:
-            findings.append(Finding("crash", str(crash)))
-            info = new_state.threads[child]
-            info.status = EXITED
-            info.pending = None
-        else:
-            _install_pending(new_state, session, ctx, child, child_op)
 
     return StepOutcome(new_state, t, findings)
 
@@ -670,8 +688,8 @@ class ReplayCursor:
     """
 
     def __init__(self, program: Program, policy_overrides=None, max_spurious=0,
-                 budget=None, registry=None):
-        self.ctx = BuildContext(program, registry, policy_overrides, max_spurious)
+                 budget=None):
+        self.ctx = BuildContext(program, policy_overrides, max_spurious)
         self.budget = budget
         self.session = RuntimeSession(program, self.ctx)
         self.state = initial_state(program, self.session, self.ctx)

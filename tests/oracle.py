@@ -41,7 +41,7 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
     max_spurious = getattr(config, "max_spurious_wakeups", 0) if config else 0
     budget = getattr(config, "max_depth_per_thread", None) if config else None
 
-    ctx = BuildContext(program, None, policy_overrides, max_spurious)
+    ctx = BuildContext(program, policy_overrides, max_spurious)
     result = BruteResult()
 
     def fresh_session_at(path):
@@ -110,7 +110,7 @@ def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
     max_spurious = getattr(config, "max_spurious_wakeups", 0) if config else 0
     budget = getattr(config, "max_depth_per_thread", None) if config else None
 
-    ctx = BuildContext(program, None, policy_overrides, max_spurious)
+    ctx = BuildContext(program, policy_overrides, max_spurious)
     graph = StateGraph()
 
     def fresh_session_at(path):

@@ -229,3 +229,38 @@ def test_replay_command_loads_trace(tmp_path, capsys, monkeypatch):
 
     assert main(["replay", "999", "--trace-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def _damaged_trace(tmp_path, capsys, damage):
+    """Record one trace, rewrite its file with `damage`, and run replay on it."""
+    run_cli(capsys, "check", str(corpus_path("philosophers_mut_deadlock_2")),
+            "--trace-dir", str(tmp_path))
+    path = sorted(tmp_path.glob("trace-*.txt"))[0]
+    path.write_text(damage(path.read_text()))
+    index = int(path.stem.split("-")[1])
+    return run_cli(capsys, "replay", str(index), "--trace-dir", str(tmp_path))
+
+
+def _one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_replay_rejects_file_cut_inside_config_line(tmp_path, capsys):
+    def cut(text):
+        return text[:text.index("config: ") + len("config: {\"keep_all")]
+    _one_error_line(*_damaged_trace(tmp_path, capsys, cut))
+
+
+def test_replay_rejects_file_without_footer(tmp_path, capsys):
+    def drop_footer(text):
+        return "\n".join(text.splitlines()[:-2]) + "\n"
+    _one_error_line(*_damaged_trace(tmp_path, capsys, drop_footer))
+
+
+def test_replay_rejects_unknown_config_key(tmp_path, capsys):
+    def add_key(text):
+        return text.replace("config: {", "config: {\"bogus\": 1, ", 1)
+    _one_error_line(*_damaged_trace(tmp_path, capsys, add_key))

@@ -1,7 +1,12 @@
 """Search mechanics: selection, sleep sets, backtrack points, verdicts."""
 
-from permute.core import EMPTY_CLOCK, RUNNABLE, ClockVector, ModelState, ThreadInfo
+import itertools
+
+import pytest
+
+from permute.core import EMPTY_CLOCK, RUNNABLE, ClockVector, ModelState, ThreadInfo, dependent
 from permute import primitives as prim
+from permute.corpus import list_scenarios
 from permute.engine import (
     BLOCKED,
     BUDGET_EXHAUSTED,
@@ -15,6 +20,7 @@ from permute.engine import (
     select_next,
     update_backtrack_sets,
 )
+from permute.runtime import NondeterminismDetected, Program, ReplayCursor, ops
 from permute.scenario import instantiate, parse_scenario
 
 
@@ -184,7 +190,6 @@ def test_sleep_sets_reduce_traces_with_identical_verdicts():
 
 def test_schedule_steps_were_enabled_in_their_prestates():
     # Validity of recorded schedules, checked by replaying each one.
-    from permute.runtime import ReplayCursor
     text = open("src/permute/corpus/small_cond_signal.scn").read()
     results = []
     explore(scenario(text), ExplorationConfig(keep_all_traces=True),
@@ -199,3 +204,80 @@ def test_stop_at_first_failure():
     text = open("src/permute/corpus/small_assert_race.scn").read()
     report = explore(scenario(text), ExplorationConfig(stop_at_first_failure=True))
     assert len(report.assertion_failures) == 1
+
+
+# -- body re-drive ---------------------------------------------------------------------
+
+def test_body_that_diverges_when_rebuilt_is_detected():
+    # The worker's body takes another mutex each time it is rebuilt, so the
+    # first backtrack that moves it back re-drives it to a different request.
+    builds = itertools.count()
+
+    def main():
+        yield ops.create("a")
+        yield ops.create("b")
+        yield ops.join("a")
+        yield ops.join("b")
+
+    def flaky():
+        name = "m" if next(builds) == 0 else "other"
+        yield ops.lock(name)
+        yield ops.unlock(name)
+
+    def steady():
+        yield ops.lock("m")
+        yield ops.unlock("m")
+
+    program = Program([("main", main), ("a", flaky), ("b", steady)])
+    with pytest.raises(NondeterminismDetected, match="thread 1"):
+        explore(program)
+
+
+# -- footprints ------------------------------------------------------------------------
+
+AUDIT_CONFIGS = [
+    {},
+    {"policy_overrides": {"mutex": "lifo", "sem": "lifo", "cond": "lifo"},
+     "max_spurious_wakeups": 1},
+]
+
+
+def _transitions_seen(program, config):
+    """Every distinct transition executed or pending on an explored trace."""
+    traces = []
+    explore(program, config, observer=traces.append)
+    seen = {}
+    for tr in traces:
+        # Scenario objects are all declared, so their ids agree across replays.
+        cursor = ReplayCursor(program, config.policy_overrides, config.max_spurious_wakeups,
+                              config.max_depth_per_thread)
+        for step in tr.schedule + [None]:
+            for info in cursor.state.threads.values():
+                t = info.pending
+                if t is not None:
+                    key = (type(t), t.kind, t.executor, t.object_key(), t.thread_target,
+                           t.mutex_owner_refs(), t.mutex_queue_refs(), t.footprint(),
+                           getattr(t, "policy", None))
+                    seen.setdefault(key, t)
+            if step is not None:
+                cursor.step(step)
+    return list(seen.values())
+
+
+def test_footprints_cover_every_dependence_in_the_corpus():
+    # The index only tests steps that share a footprint key or a thread
+    # relation; a dependent pair outside those would be missed.
+    pairs = 0
+    for name, path in list_scenarios():
+        program = instantiate(parse_scenario(path.read_text()))
+        for kw in AUDIT_CONFIGS:
+            config = ExplorationConfig(max_depth_per_thread=4, **kw)
+            for a, b in itertools.combinations(_transitions_seen(program, config), 2):
+                pairs += 1
+                if not dependent(a, b):
+                    continue
+                fa, fb = a.footprint(), b.footprint()
+                assert (fa is None or fb is None or a.executor == b.executor
+                        or a.thread_target == b.executor or b.thread_target == a.executor
+                        or set(fa) & set(fb)), f"{name} {kw}: {a} / {b}"
+    assert pairs > 1000

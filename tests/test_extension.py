@@ -10,7 +10,7 @@ again, so their order is dead).
 import pytest
 
 from permute.core import Transition, VisibleObject, dependent, fingerprint
-from permute.engine import ExplorationConfig, explore
+from permute.engine import ExplorationConfig, FootprintIndex, explore
 from permute.runtime import (
     HANDLERS,
     ObjectDecl,
@@ -64,6 +64,15 @@ class GatePass(Transition):
         if other.kind == "gate_open":
             return self.same_object(other)
         return False  # pass/pass share: the gate never closes again
+
+
+class ConservativePass(GatePass):
+    """A pass that claims a conflict with every same-gate operation."""
+
+    __slots__ = ()
+
+    def depends_with(self, other):
+        return other.kind in ("gate_open", "gate_pass") and self.same_object(other)
 
 
 def _ensure_gate(state, ctx, name):
@@ -154,15 +163,26 @@ def test_independent_passes_collapse_to_one_trace():
     # With pass/pass declared independent, the two waiters' orders collapse;
     # only the open-vs-pass races remain.
     independent = explore(make_program(waiters=2))
-
-    class ConservativePass(GatePass):
-        __slots__ = ()
-
-        def depends_with(self, other):
-            return other.kind in ("gate_open", "gate_pass") and self.same_object(other)
-
     register_handler("gate_pass", lambda tid, req, state, ctx: ConservativePass(
         tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
     conservative = explore(make_program(waiters=2))
     assert independent.traces <= conservative.traces
     assert independent.deadlocks == conservative.deadlocks == 0
+
+
+@pytest.mark.parametrize("pass_class", [GatePass, ConservativePass])
+def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class):
+    # The gate declares no footprint, so its steps are wildcards in the
+    # index; the search must match one that scans every step for everything.
+    register_handler("gate_pass", lambda tid, req, state, ctx: pass_class(
+        tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
+
+    def explore_all():
+        traces = []
+        report = explore(make_program(waiters=3), observer=traces.append)
+        return report, traces
+
+    indexed = explore_all()
+    monkeypatch.setattr(FootprintIndex, "candidates",
+                        lambda self, t: [range(len(self.lists_at))])
+    assert explore_all() == indexed

@@ -48,7 +48,7 @@ def test_semaphore_conservation():
     text = corpus("philosophers_sem_3")
     cfg = ExplorationConfig(policy_overrides={"sem": "fifo"})
     prog = program(text)
-    ctx = BuildContext(prog, None, cfg.policy_overrides, 0)
+    ctx = BuildContext(prog, cfg.policy_overrides, 0)
     session = RuntimeSession(prog, ctx)
     state = initial_state(prog, session, ctx)
     counts = {}  # oid -> posts - waits

@@ -38,7 +38,7 @@ def program_of(*bodies, declarations=()):
 
 def bootstrap(program, **cfg):
     config = ExplorationConfig(**cfg)
-    ctx = BuildContext(program, None, config.policy_overrides,
+    ctx = BuildContext(program, config.policy_overrides,
                        config.max_spurious_wakeups)
     session = RuntimeSession(program, ctx)
     return session, initial_state(program, session, ctx), ctx
