@@ -289,6 +289,17 @@ class ModelState:
                 out.append(tid)
         return out
 
+    def thread_enabled(self, tid: ThreadId, budget: Optional[int] = None) -> bool:
+        """Whether `tid` is in `enabled_threads(budget)`, without testing the
+        other threads.  The same rule; `enabled_threads` keeps its own loop
+        because the search calls it on every frame."""
+        ti = self.threads.get(tid)
+        if ti is None or ti.status != RUNNABLE or ti.pending is None:
+            return False
+        if budget is not None and ti.executed >= budget and ti.pending.kind != "exit":
+            return False
+        return ti.pending.enabled_in(self)
+
     def pending_of(self, tid: ThreadId) -> Optional[Transition]:
         return self.threads[tid].pending
 

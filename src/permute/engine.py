@@ -23,6 +23,7 @@ snapshot holds (otherwise NondeterminismDetected).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -143,34 +144,33 @@ class FootprintIndex:
     step with the trace.
 
     A step is listed under each key of its footprint, or in the wildcard
-    list when it declares none, and under its executor and its
-    thread_target.  Two steps can only be dependent when they share one of
-    these lists or one of them is a wildcard, so a scan for the steps a
-    transition may depend on need only visit its own lists plus the
-    wildcard list; a wildcard transition visits every position.
+    list when it declares none, under the thread that executed it, and
+    under its thread_target.  A step of another thread can only be
+    dependent with a transition when they share a key, when one of them is
+    a wildcard, or when one targets the other's executor, so a scan for
+    the steps a transition may depend on visits just those lists; a
+    wildcard transition visits every position.
     """
 
-    __slots__ = ("by_key", "by_thread", "wildcard", "lists_at")
+    __slots__ = ("by_key", "executed", "targeting", "wildcard", "lists_at")
 
     def __init__(self):
         self.by_key: dict = {}
-        self.by_thread: dict = {}
+        self.executed: dict = {}     # thread -> positions of its own steps
+        self.targeting: dict = {}    # thread -> positions of steps targeting it
         self.wildcard: list = []
         self.lists_at: list = []     # per trace position: the lists holding it
 
-    def _lists(self, t: Transition, footprint) -> list:
-        lists = [self.by_thread.setdefault(t.executor, [])]
+    def push(self, t: Transition) -> None:
+        lists = [self.executed.setdefault(t.executor, [])]
         if t.thread_target is not None:
-            lists.append(self.by_thread.setdefault(t.thread_target, []))
+            lists.append(self.targeting.setdefault(t.thread_target, []))
+        footprint = t.footprint()
         if footprint is None:
             lists.append(self.wildcard)
         else:
             for key in footprint:
                 lists.append(self.by_key.setdefault(key, []))
-        return lists
-
-    def push(self, t: Transition) -> None:
-        lists = self._lists(t, t.footprint())
         position = len(self.lists_at)
         for positions in lists:
             positions.append(position)
@@ -181,30 +181,33 @@ class FootprintIndex:
             positions.pop()
 
     def candidates(self, t: Transition) -> list:
-        """Ascending position lists that together hold every step `t` may
-        be dependent with (a position may appear in more than one)."""
+        """Ascending position lists that together hold every step of another
+        thread that `t` may be dependent with.  They may hold steps of t's
+        own thread too, and a position may appear in more than one."""
         footprint = t.footprint()
         if footprint is None:
             return [range(len(self.lists_at))]
-        lists = self._lists(t, footprint)
-        lists.append(self.wildcard)
+        lists = [self.wildcard, self.targeting.get(t.executor, ())]
+        if t.thread_target is not None:
+            lists.append(self.executed.get(t.thread_target, ()))
+        by_key = self.by_key
+        for key in footprint:
+            lists.append(by_key.get(key, ()))
         return lists
 
 
 def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
-                          next_t: Transition,
-                          index: Optional[FootprintIndex] = None) -> None:
+                          next_t: Transition, index: FootprintIndex) -> None:
     """Add a backtrack point at the pre-state of the latest transition that
     is dependent with, co-enabled with, and not causally before `next_t`.
 
-    With an index of `trace`, only its candidate steps are tested: the
+    Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
-    winning.  Without one, every step is.
+    winning.
     """
-    lists = index.candidates(next_t) if index is not None else [range(len(trace))]
     executor = next_t.executor
     latest = -1
-    for positions in lists:
+    for positions in index.candidates(next_t):
         for i in reversed(positions):
             if i <= latest:
                 break
@@ -355,12 +358,13 @@ class _Search:
         """Restart each moved body and drive it through its own steps of the
         trace.  Findings were recorded when the steps first ran and are not
         recorded again."""
-        session, stack, trace = self.session, self.stack, self.trace
+        session, stack, trace, index = self.session, self.stack, self.trace, self.index
         for tid in sorted(self.moved):
             session.rewind(tid)
             if tid == 0:   # thread 0 is started by the search, not a create
                 self._check_surfaced(tid, -1, *resume_body(session, tid, True))
-            for i in self.index.by_thread.get(tid, ()):
+            # Its create (among the steps targeting it), then its own steps.
+            for i in heapq.merge(index.targeting.get(tid, ()), index.executed.get(tid, ())):
                 t = trace[i]
                 for body, from_start in moved_bodies(t):
                     if body == tid:
@@ -379,15 +383,10 @@ class _Search:
             # of the object table so that the snapshot stays as recorded.
             scratch = ModelState(dict(state.objects), state.threads,
                                  state.shared_vars, state.spurious_used)
-            t = surfaced_transition(tid, op, scratch, self.ctx)
-            # Equal fields make equal schedule steps; the schedule-step form,
-            # which replays compare, decides the rest.
-            if expected is not None and (
-                    (t.kind, t.object_name, t.payload)
-                    == (expected.kind, expected.object_name, expected.payload)
-                    or schedule_step(t) == schedule_step(expected)):
+            surfaced = schedule_step(surfaced_transition(tid, op, scratch, self.ctx))
+            # The same test a replay makes against a recorded step.
+            if expected is not None and surfaced == schedule_step(expected):
                 return
-            surfaced = schedule_step(t)
         elif expected is None:
             return
         else:

@@ -710,7 +710,7 @@ class ReplayCursor:
             raise NondeterminismDetected(
                 self.position,
                 f"expected {expected}, program surfaced {schedule_step(pending)}")
-        if tid not in self.state.enabled_threads(self.budget):
+        if not self.state.thread_enabled(tid, self.budget):
             raise NondeterminismDetected(
                 self.position, f"recorded transition {schedule_step(pending)} is not enabled")
         outcome = execute_step(self.session, self.state, tid, self.ctx)

@@ -13,6 +13,7 @@ from permute.engine import (
     COMPLETED,
     DEADLOCK,
     ExplorationConfig,
+    FootprintIndex,
     StackEntry,
     classify_endstate,
     explore,
@@ -72,13 +73,20 @@ def test_propagate_sleep_set():
 
 # -- backtrack set computation ----------------------------------------------------
 
+def indexed(trace):
+    index = FootprintIndex()
+    for t in trace:
+        index.push(t)
+    return index
+
+
 def test_update_backtrack_sets_adds_conflicting_thread():
     lock1 = prim.MutexLock(1, 0, "m")
     root = frame_with({1: lock1, 2: prim.MutexLock(2, 0, "m")})
     root.thread_clocks = {1: EMPTY_CLOCK, 2: EMPTY_CLOCK}
     frontier = StackEntry(ModelState(), {}, {1: ClockVector({1: 1}), 2: EMPTY_CLOCK})
     nxt = prim.MutexLock(2, 0, "m")
-    update_backtrack_sets([root, frontier], [lock1], frontier, nxt)
+    update_backtrack_sets([root, frontier], [lock1], frontier, nxt, indexed([lock1]))
     assert 2 in root.backtrack
 
 
@@ -86,9 +94,10 @@ def test_update_backtrack_sets_ignores_independent_and_empty():
     post1 = prim.SemPost(1, 0, "s1")
     root = frame_with({1: post1, 2: prim.SemPost(2, 1, "s2")})
     frontier = StackEntry(ModelState(), {}, {1: ClockVector({1: 1})})
-    update_backtrack_sets([root, frontier], [post1], frontier, prim.SemPost(2, 1, "s2"))
+    update_backtrack_sets([root, frontier], [post1], frontier, prim.SemPost(2, 1, "s2"),
+                          indexed([post1]))
     assert root.backtrack == set()
-    update_backtrack_sets([root], [], root, post1)  # empty trace: no-op
+    update_backtrack_sets([root], [], root, post1, indexed([]))  # empty trace: no-op
     assert root.backtrack == set()
 
 
@@ -99,7 +108,7 @@ def test_update_backtrack_sets_respects_happens_before():
                           {0: ClockVector({0: 1}), 1: ClockVector({0: 1})})
     # The child's first op causally follows its creation: no backtrack point.
     update_backtrack_sets([root, frontier], [create], frontier,
-                          prim.SemPost(1, 0, "s"))
+                          prim.SemPost(1, 0, "s"), indexed([create]))
     assert root.backtrack == set()
 
 
@@ -252,6 +261,11 @@ def _transitions_seen(program, config):
         cursor = ReplayCursor(program, config.policy_overrides, config.max_spurious_wakeups,
                               config.max_depth_per_thread)
         for step in tr.schedule + [None]:
+            # Replays test one thread's enabledness; it must agree with the
+            # search's enabled set on every state visited.
+            state, budget = cursor.state, config.max_depth_per_thread
+            assert [tid for tid in sorted(state.threads)
+                    if state.thread_enabled(tid, budget)] == state.enabled_threads(budget)
             for info in cursor.state.threads.values():
                 t = info.pending
                 if t is not None:
