@@ -3,7 +3,9 @@ mirrored program state, clock vectors, and the framework rules that combine
 per-transition attribute claims into the relations the search engine uses.
 
 Every synchronization primitive is expressed as a family of `Transition`
-subclasses acting on `VisibleObject` subclasses.  A transition declares only
+subclasses acting on `VisibleObject` subclasses, each made known to the
+runtime by `register`, which maps request kinds and object kinds to the
+classes that build themselves from them.  A transition declares only
 its *own* relations: the framework combines two transitions' claims with OR
 for dependence (either side may assert a conflict) and AND for co-enabledness
 (either side may veto).  Claims are written under the framework guarantee
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator, Optional
+from typing import Optional
 
 ThreadId = int
 ObjectId = int
@@ -25,6 +27,10 @@ ObjectId = int
 EMBRYO = "embryo"
 RUNNABLE = "runnable"
 EXITED = "exited"
+
+
+class ProgramError(Exception):
+    """Malformed program or unregistered operation kind."""
 
 
 class VisibleObject:
@@ -42,6 +48,13 @@ class VisibleObject:
         self.oid = oid
         self.name = name
 
+    @classmethod
+    def create(cls, oid: ObjectId, name: str, attrs: dict, policy: str,
+               max_spurious: int) -> "VisibleObject":
+        """A fresh object: `attrs` from its declaration, its resolved wakeup
+        `policy`, the run's `max_spurious` wakeups; kinds that use any override."""
+        return cls(oid, name)
+
     def clone(self) -> "VisibleObject":
         raise NotImplementedError
 
@@ -54,6 +67,7 @@ class Transition:
     """One visible operation by one thread, plus its search attributes.
 
     Subclasses override:
+      build(tid, req, ...) -- construct from a request (default: one object)
       enabled_in(state)    -- can this operation complete right now?
       depends_with(other)  -- this transition's own dependence claims
       coenabled_with(other)-- this transition's own co-enabledness claims
@@ -78,6 +92,14 @@ class Transition:
         self.object_name = object_name
         self.payload = payload
         self.thread_target: Optional[ThreadId] = None
+
+    @classmethod
+    def build(cls, tid: ThreadId, req, state: "ModelState", ctx) -> "Transition":
+        """The transition for request `req` surfaced by thread `tid`; the
+        default suits the plain (executor, oid, name) constructor.
+        `ctx.ensure_object` creates the object `req` names on first use."""
+        return cls(tid, ctx.ensure_object(state, req.object_name, req.object_kind),
+                   req.object_name)
 
     # -- search attributes -------------------------------------------------
 
@@ -142,6 +164,29 @@ class Transition:
     def __repr__(self):
         obj = self.object_name or ""
         return f"<{self.kind} {obj} by T{self.executor}>"
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+TRANSITION_CLASSES: dict = {}   # request kind -> Transition subclass
+OBJECT_CLASSES: dict = {}       # object kind -> VisibleObject subclass
+
+
+def register(cls=None, kinds=()):
+    """Declare a primitive class, as `@register` or `@register(kinds=...)`:
+    a `Transition` subclass builds the requests of each kind in `kinds`
+    (default: its own `kind`), a `VisibleObject` subclass is created for
+    objects of its `kind`.  Registering a kind again replaces the class."""
+    if cls is None:
+        return lambda c: register(c, kinds)
+    if issubclass(cls, VisibleObject):
+        OBJECT_CLASSES[cls.kind] = cls
+    else:
+        for kind in kinds or (cls.kind,):
+            TRANSITION_CLASSES[kind] = cls
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +347,6 @@ class ModelState:
 
     def pending_of(self, tid: ThreadId) -> Optional[Transition]:
         return self.threads[tid].pending
-
-    def live_threads(self) -> Iterator[ThreadId]:
-        return (tid for tid, ti in self.threads.items() if ti.status == RUNNABLE)
 
 
 # ---------------------------------------------------------------------------

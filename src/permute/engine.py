@@ -40,6 +40,7 @@ from .core import (
     fingerprint,
     happens_before,
 )
+from .primitives import POLICIES
 from .runtime import (
     BuildContext,
     NondeterminismDetected,
@@ -61,6 +62,10 @@ BLOCKED = "blocked"                  # every enabled transition was asleep
 STOPPED_ON_FAILURE = "stopped_on_failure"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExplorationConfig:
     max_depth_per_thread: Optional[int] = None
@@ -72,8 +77,24 @@ class ExplorationConfig:
     keep_all_traces: bool = False
 
     def __post_init__(self):
-        if self.max_depth_per_thread is not None and self.max_depth_per_thread < 1:
+        # Trace files carry a config as JSON, so no field type can be assumed.
+        for name in ("stop_at_first_deadlock", "sleep_sets_enabled",
+                     "stop_at_first_failure", "keep_all_traces"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, not {getattr(self, name)!r}")
+        depth, spurious = self.max_depth_per_thread, self.max_spurious_wakeups
+        if depth is not None and not _is_int(depth):
+            raise TypeError(f"max_depth_per_thread must be an int, not {depth!r}")
+        if not _is_int(spurious):
+            raise TypeError(f"max_spurious_wakeups must be an int, not {spurious!r}")
+        if depth is not None and depth < 1:
             raise ValueError("max_depth_per_thread must be >= 1 when set")
+        overrides = self.policy_overrides
+        if not isinstance(overrides, dict) or not all(
+                isinstance(kind, str) and policy in POLICIES
+                for kind, policy in overrides.items()):
+            raise TypeError("policy_overrides must map object kinds to policies "
+                            f"{POLICIES}, not {overrides!r}")
 
 
 @dataclass

@@ -2,17 +2,22 @@
 semaphore, condition variable, reader-writer locks (including the
 readers-and-two-writers variant), barrier, shared variables, assertions.
 
-Each transition family also serves as the worked example for extensions:
-subclass `Transition`, define the enabled predicate, narrow the dependence
-and co-enabledness claims you understand, give the apply action, and
-optionally declare the footprint the search indexes steps by.
+Each class is declared once: `@register` makes it the class built for its
+request kind (or created for its object kind), and only classes whose
+constructors take more than the inherited `build`/`create` pass -- a policy,
+a mutex, a tag, a thread, a checked variable -- override those.  Each
+transition family also serves as the worked example for extensions: subclass
+`Transition`, define the enabled predicate, narrow the dependence and
+co-enabledness claims you understand, give the apply action, and optionally
+declare the footprint the search indexes steps by.
 
-Wait-style operations split into an enqueue step and a finish step so that
-wakeup policies (who gets to complete the wait) are expressible as plain
-enabled predicates.  Under arbitrary wakeup the queue order is semantically
-irrelevant, so those wait sets are kept canonically sorted; this makes the
-declared independence of two enqueues hold structurally (both insertion
-orders produce the same snapshot), which the commutation audits rely on.
+Wait-style operations split into an enqueue step and a finish step
+(`WAIT_SPLITS`) so that wakeup policies (who gets to complete the wait) are
+expressible as plain enabled predicates.  Under arbitrary wakeup the queue
+order is semantically irrelevant, so those wait sets are kept canonically
+sorted; this makes the declared independence of two enqueues hold
+structurally (both insertion orders produce the same snapshot), which the
+commutation audits rely on.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ from typing import Optional
 from .core import (
     EMBRYO,
     EXITED,
+    OBJECT_CLASSES,
     RUNNABLE,
     ModelState,
     ObjectId,
+    ProgramError,
     ThreadId,
     Transition,
     VisibleObject,
+    register,
 )
 
 # Wakeup policies.  arb_fused folds the enqueue into the wait itself: all
@@ -48,6 +56,22 @@ READER_PREF = "reader_pref"
 WRITER_PREF = "writer_pref"
 NO_PREF = "no_pref"
 PREFERENCES = (READER_PREF, WRITER_PREF, NO_PREF)
+
+# How the runtime surfaces each wait-style request: its enqueue step, then
+# its finish step, one scheduling step each.  A lock or semaphore wait on an
+# object under arb_fused keeps no queue and stays the one fused step; the
+# second table names the object kind whose policy decides that.
+WAIT_SPLITS = {
+    "lock": ("lock_enqueue", "lock"),
+    "sem_wait": ("sem_enqueue", "sem_finish"),
+    "cond_wait": ("cond_enqueue", "cond_wake"),
+    "rdlock": ("rd_enqueue", "rd_lock"),
+    "wrlock": ("wr_enqueue", "wr_lock"),
+    "wrlock1": ("wr1_enqueue", "wr1_lock"),
+    "wrlock2": ("wr2_enqueue", "wr2_lock"),
+    "barrier_wait": ("arrive", "barrier_finish"),
+}
+FUSED_WAITS = {"lock": "mutex", "sem_wait": "sem"}
 
 
 def _enqueue(queue: list, item, policy: str) -> None:
@@ -70,12 +94,50 @@ def _eligible(queue: list, item, policy: str) -> bool:
 class _ObjectOp(Transition):
     """An operation on the one object or variable it names.  Its dependence
     claims only look at that object, so its footprint is the object's key;
-    operations that also touch a mutex add the mutex's id."""
+    operations that also touch a mutex add the mutex's id.  By default it
+    conflicts with the same-object operations whose kinds it lists."""
 
     __slots__ = ()
+    conflicts: tuple = ()
+
+    def depends_with(self, other):
+        return other.kind in self.conflicts and self.same_object(other)
 
     def footprint(self):
         return (self.object_key(),)
+
+
+class _QueuedEnqueue(_ObjectOp):
+    """First half of a wait on a queue-keeping object, under its policy.
+    Under fifo and arb_dep two enqueues conflict (their order is the queue
+    order); under lifo an enqueue also changes who is on top, so it conflicts
+    with the finish step too; under arb_indep the sorted queue commutes."""
+
+    __slots__ = ("policy",)
+    finish_kind = ""
+
+    def __init__(self, executor, oid, name, policy):
+        super().__init__(executor, oid, name)
+        self.policy = policy
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        oid = ctx.ensure_object(state, req.object_name, req.object_kind)
+        return cls(tid, oid, req.object_name, state.objects[oid].policy)
+
+    def depends_with(self, other):
+        if not self.same_object(other):
+            return False
+        if self.policy == FIFO or self.policy == ARB_DEP:
+            return other.kind == self.kind
+        if self.policy == LIFO:
+            return other.kind == self.kind or other.kind == self.finish_kind
+        return False  # arb_indep
+
+    def apply_to(self, state):
+        s = state.clone()
+        _enqueue(s.objects[self.oid].queue, self.executor, self.policy)
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +145,7 @@ class _ObjectOp(Transition):
 # ---------------------------------------------------------------------------
 
 
+@register
 class MutexObj(VisibleObject):
     kind = "mutex"
     __slots__ = ("owner", "queue", "policy")
@@ -92,6 +155,10 @@ class MutexObj(VisibleObject):
         self.owner: Optional[ThreadId] = None
         self.queue: list = []
         self.policy = policy
+
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        return cls(oid, name, policy)
 
     def clone(self):
         c = MutexObj(self.oid, self.name, self.policy)
@@ -117,53 +184,43 @@ class MutexObj(VisibleObject):
         return self.policy == ARB_FUSED or not self.queue
 
 
-class MutexEnqueue(_ObjectOp):
-    """First half of a lock under a queued policy; registers the caller."""
+@register
+class MutexEnqueue(_QueuedEnqueue):
+    """First half of a lock under a queued policy."""
 
     kind = "lock_enqueue"
-    __slots__ = ("policy",)
-
-    def __init__(self, executor, oid, name, policy):
-        super().__init__(executor, oid, name)
-        self.policy = policy
+    finish_kind = "lock"
+    __slots__ = ()
 
     def mutex_queue_refs(self):
         return (self.oid,)
 
-    def depends_with(self, other):
-        if not self.same_object(other):
-            return False
-        if self.policy == FIFO or self.policy == ARB_DEP:
-            return other.kind == "lock_enqueue"
-        if self.policy == LIFO:
-            return other.kind in ("lock_enqueue", "lock")
-        return False  # arb_indep
 
-    def apply_to(self, state):
-        s = state.clone()
-        _enqueue(s.objects[self.oid].queue, self.executor, self.policy)
-        return s
+class _MutexOwnerOp(_ObjectOp):
+    """A lock or unlock: it reads and writes the mutex's owner.  Either the
+    mutex is free or it is held, so the two are never enabled together."""
 
-
-class MutexLock(_ObjectOp):
-    kind = "lock"
     __slots__ = ()
+    never_with = ""
 
     def mutex_owner_refs(self):
         return (self.oid,)
-
-    def enabled_in(self, state):
-        return state.objects[self.oid].lockable_by(self.executor)
 
     def depends_with(self, other):
         return self.oid in other.mutex_owner_refs()
 
     def coenabled_with(self, other):
-        # Either the mutex is free or it is held: lock and unlock of the
-        # same mutex are never simultaneously enabled.
-        if other.kind == "unlock" and self.same_object(other):
-            return False
-        return True
+        return other.kind != self.never_with or not self.same_object(other)
+
+
+@register
+class MutexLock(_MutexOwnerOp):
+    kind = "lock"
+    never_with = "unlock"
+    __slots__ = ()
+
+    def enabled_in(self, state):
+        return state.objects[self.oid].lockable_by(self.executor)
 
     def apply_to(self, state):
         s = state.clone()
@@ -174,25 +231,16 @@ class MutexLock(_ObjectOp):
         return s
 
 
-class MutexUnlock(_ObjectOp):
+@register
+class MutexUnlock(_MutexOwnerOp):
     kind = "unlock"
+    never_with = "lock"
     __slots__ = ()
-
-    def mutex_owner_refs(self):
-        return (self.oid,)
 
     def usage_error(self, state):
         if state.objects[self.oid].owner != self.executor:
             return f"unlock of {self.object_name} by non-owner thread {self.executor}"
         return None
-
-    def depends_with(self, other):
-        return self.oid in other.mutex_owner_refs()
-
-    def coenabled_with(self, other):
-        if other.kind == "lock" and self.same_object(other):
-            return False
-        return True
 
     def apply_to(self, state):
         s = state.clone()
@@ -207,6 +255,7 @@ class MutexUnlock(_ObjectOp):
 # ---------------------------------------------------------------------------
 
 
+@register
 class SemObj(VisibleObject):
     kind = "sem"
     __slots__ = ("value", "queue", "policy")
@@ -217,6 +266,10 @@ class SemObj(VisibleObject):
         self.queue: list = []
         self.policy = policy
 
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        return cls(oid, name, attrs.get("init", 0), policy)
+
     def clone(self):
         c = SemObj(self.oid, self.name, self.value, self.policy)
         c.queue = list(self.queue)
@@ -226,14 +279,12 @@ class SemObj(VisibleObject):
         return (self.value, tuple(self.queue), self.policy)
 
 
+@register
 class SemPost(_ObjectOp):
     kind = "sem_post"
     __slots__ = ()
-
-    def depends_with(self, other):
-        # Two posts commute; the value observers and decrementers do not.
-        return self.same_object(other) and other.kind in (
-            "sem_finish", "sem_wait", "sem_getvalue")
+    # Two posts commute; the value observers and decrementers do not.
+    conflicts = ("sem_finish", "sem_wait", "sem_getvalue")
 
     def apply_to(self, state):
         s = state.clone()
@@ -241,58 +292,36 @@ class SemPost(_ObjectOp):
         return s
 
 
+@register
 class SemGetValue(_ObjectOp):
     kind = "sem_getvalue"
     __slots__ = ()
-
-    def depends_with(self, other):
-        # Independent of enqueues: the observable count is the classic
-        # semaphore value, which enqueueing does not change.
-        return self.same_object(other) and other.kind in (
-            "sem_post", "sem_finish", "sem_wait")
+    # Independent of enqueues: the observable count is the classic
+    # semaphore value, which enqueueing does not change.
+    conflicts = ("sem_post", "sem_finish", "sem_wait")
 
     def result_in(self, state):
         return state.objects[self.oid].value
 
 
-class SemEnqueue(_ObjectOp):
+@register
+class SemEnqueue(_QueuedEnqueue):
     kind = "sem_enqueue"
-    __slots__ = ("policy",)
-
-    def __init__(self, executor, oid, name, policy):
-        super().__init__(executor, oid, name)
-        self.policy = policy
-
-    def depends_with(self, other):
-        if not self.same_object(other):
-            return False
-        if self.policy == FIFO or self.policy == ARB_DEP:
-            return other.kind == "sem_enqueue"
-        if self.policy == LIFO:
-            # Under LIFO an enqueue changes who is on top, so it conflicts
-            # with the wait completion as well.
-            return other.kind in ("sem_enqueue", "sem_finish")
-        return False  # arb_indep
-
-    def apply_to(self, state):
-        s = state.clone()
-        _enqueue(s.objects[self.oid].queue, self.executor, self.policy)
-        return s
+    finish_kind = "sem_finish"
+    __slots__ = ()
 
 
+@register
 class SemWaitFinish(_ObjectOp):
     """Second half of a split wait: consume one unit and leave the queue."""
 
     kind = "sem_finish"
     __slots__ = ()
+    conflicts = ("sem_post", "sem_finish", "sem_getvalue")
 
     def enabled_in(self, state):
         sem = state.objects[self.oid]
         return sem.value > 0 and _eligible(sem.queue, self.executor, sem.policy)
-
-    def depends_with(self, other):
-        return self.same_object(other) and other.kind in (
-            "sem_post", "sem_finish", "sem_getvalue")
 
     def apply_to(self, state):
         s = state.clone()
@@ -302,18 +331,16 @@ class SemWaitFinish(_ObjectOp):
         return s
 
 
+@register
 class SemWaitFused(_ObjectOp):
     """Atomic wait under the arbitrary-no-enqueue policy: no queue at all."""
 
     kind = "sem_wait"
     __slots__ = ()
+    conflicts = ("sem_post", "sem_wait", "sem_getvalue")
 
     def enabled_in(self, state):
         return state.objects[self.oid].value > 0
-
-    def depends_with(self, other):
-        return self.same_object(other) and other.kind in (
-            "sem_post", "sem_wait", "sem_getvalue")
 
     def apply_to(self, state):
         s = state.clone()
@@ -326,6 +353,7 @@ class SemWaitFused(_ObjectOp):
 # ---------------------------------------------------------------------------
 
 
+@register
 class CondObj(VisibleObject):
     kind = "cond"
     __slots__ = ("queue", "grants", "credits", "spurious_budget", "policy")
@@ -337,6 +365,11 @@ class CondObj(VisibleObject):
         self.credits = 0                # floating wake permits (arbitrary signal)
         self.spurious_budget = spurious_budget
         self.policy = policy
+
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        budget = attrs.get("spurious")
+        return cls(oid, name, policy, max_spurious if budget is None else budget)
 
     def clone(self):
         c = CondObj(self.oid, self.name, self.policy, self.spurious_budget)
@@ -364,23 +397,51 @@ class CondObj(VisibleObject):
 COND_KINDS = ("cond_enqueue", "cond_wake", "cond_signal", "cond_broadcast")
 
 
-class CondEnqueue(_ObjectOp):
-    """First half of a wait: atomically release the mutex and join the queue."""
+class _CondWaitStep(_ObjectOp):
+    """A half of a condition wait: it also reads and writes the ownership of
+    the mutex the waiter releases and reacquires, so it indexes both."""
 
-    kind = "cond_enqueue"
-    __slots__ = ("mutex_oid", "mutex_name", "policy")
+    __slots__ = ("mutex_oid", "mutex_name")
 
-    def __init__(self, executor, oid, name, mutex_oid, mutex_name, policy):
+    def __init__(self, executor, oid, name, mutex_oid, mutex_name):
         super().__init__(executor, oid, name, payload=(mutex_name,))
         self.mutex_oid = mutex_oid
         self.mutex_name = mutex_name
-        self.policy = policy
+
+    @staticmethod
+    def _object_ids(req, state, ctx):
+        # The condition first, then the mutex: ids follow first encounter.
+        return (ctx.ensure_object(state, req.object_name, req.object_kind),
+                ctx.ensure_object(state, req.mutex_name, "mutex"))
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        oid, moid = cls._object_ids(req, state, ctx)
+        return cls(tid, oid, req.object_name, moid, req.mutex_name)
 
     def mutex_owner_refs(self):
         return (self.mutex_oid,)
 
     def footprint(self):
         return (self.oid, self.mutex_oid)
+
+
+@register
+class CondEnqueue(_CondWaitStep):
+    """First half of a wait: atomically release the mutex and join the queue."""
+
+    kind = "cond_enqueue"
+    __slots__ = ("policy",)
+
+    def __init__(self, executor, oid, name, mutex_oid, mutex_name, policy):
+        super().__init__(executor, oid, name, mutex_oid, mutex_name)
+        self.policy = policy
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        oid, moid = cls._object_ids(req, state, ctx)
+        return cls(tid, oid, req.object_name, moid, req.mutex_name,
+                   state.objects[oid].policy)
 
     def usage_error(self, state):
         if state.objects[self.mutex_oid].owner != self.executor:
@@ -408,7 +469,8 @@ class CondEnqueue(_ObjectOp):
         return s
 
 
-class CondWakeFinish(_ObjectOp):
+@register
+class CondWakeFinish(_CondWaitStep):
     """Second half of a wait: leave the queue and reacquire the mutex.
 
     Enabled when the caller holds a wake permit -- a bound grant, a floating
@@ -416,18 +478,7 @@ class CondWakeFinish(_ObjectOp):
     """
 
     kind = "cond_wake"
-    __slots__ = ("mutex_oid", "mutex_name")
-
-    def __init__(self, executor, oid, name, mutex_oid, mutex_name):
-        super().__init__(executor, oid, name, payload=(mutex_name,))
-        self.mutex_oid = mutex_oid
-        self.mutex_name = mutex_name
-
-    def mutex_owner_refs(self):
-        return (self.mutex_oid,)
-
-    def footprint(self):
-        return (self.oid, self.mutex_oid)
+    __slots__ = ()
 
     def enabled_in(self, state):
         cond = state.objects[self.oid]
@@ -462,12 +513,11 @@ class CondWakeFinish(_ObjectOp):
         return s
 
 
+@register
 class CondSignal(_ObjectOp):
     kind = "cond_signal"
     __slots__ = ()
-
-    def depends_with(self, other):
-        return self.same_object(other) and other.kind in COND_KINDS
+    conflicts = COND_KINDS
 
     def apply_to(self, state):
         s = state.clone()
@@ -490,12 +540,11 @@ class CondSignal(_ObjectOp):
         return s
 
 
+@register
 class CondBroadcast(_ObjectOp):
     kind = "cond_broadcast"
     __slots__ = ()
-
-    def depends_with(self, other):
-        return self.same_object(other) and other.kind in COND_KINDS
+    conflicts = COND_KINDS
 
     def apply_to(self, state):
         s = state.clone()
@@ -513,6 +562,7 @@ RW_KINDS = ("rd_enqueue", "rd_lock", "wr_enqueue", "wr_lock",
             "wr1_enqueue", "wr1_lock", "wr2_enqueue", "wr2_lock", "rw_unlock")
 
 
+@register
 class RWLockObj(VisibleObject):
     kind = "rwlock"
     __slots__ = ("preference", "active_writer", "active_readers",
@@ -526,6 +576,10 @@ class RWLockObj(VisibleObject):
         self.reader_queue: list = []
         self.writer_queue: list = []
         self.arrival_queue: list = []       # (tid, tag) under no_pref
+
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        return cls(oid, name, attrs.get("preference", WRITER_PREF))
 
     def clone(self):
         c = RWLockObj(self.oid, self.name, self.preference)
@@ -597,6 +651,7 @@ class RWLockObj(VisibleObject):
         return False
 
 
+@register
 class RWWLockObj(RWLockObj):
     """Reader-writer lock with two writer classes, writer-preferred; neither
     writer class takes precedence over the other."""
@@ -608,6 +663,10 @@ class RWWLockObj(RWLockObj):
         super().__init__(oid, name, WRITER_PREF)
         self.writer1_queue: list = []
         self.writer2_queue: list = []
+
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        return cls(oid, name)
 
     def clone(self):
         c = RWWLockObj(self.oid, self.name)
@@ -664,17 +723,32 @@ _WRITER_LOCK_KINDS = ("wr_lock", "wr1_lock", "wr2_lock")
 _ENQUEUE_KINDS = {"r": "rd_enqueue", "w": "wr_enqueue",
                   "w1": "wr1_enqueue", "w2": "wr2_enqueue"}
 _WRITER_KIND_OF_TAG = {"w": "wr_lock", "w1": "wr1_lock", "w2": "wr2_lock"}
+_TAG_OF_KIND = {kind: tag for table in (_ENQUEUE_KINDS, _WRITER_KIND_OF_TAG)
+                for tag, kind in table.items()}
 
 
-class RWEnqueue(_RWTransition):
-    # The kind depends on the tag; it is fixed once here because the search
-    # reads it on every dependence test.
+class _RWTagged(_RWTransition):
+    """A step of one lock class -- reader `r`, writer `w`, or the two-writer
+    lock's `w1`/`w2` -- whose kind follows that tag.  The kind is fixed once
+    per instance because the search reads it on every dependence test."""
+
     __slots__ = ("tag", "kind")
 
     def __init__(self, executor, oid, name, tag):
         super().__init__(executor, oid, name)
         self.tag = tag
-        self.kind = _ENQUEUE_KINDS[tag]
+        self.kind = self.kind_of_tag[tag]
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        return cls(tid, ctx.ensure_object(state, req.object_name, req.object_kind),
+                   req.object_name, _TAG_OF_KIND[req.kind])
+
+
+@register(kinds=tuple(_ENQUEUE_KINDS.values()))
+class RWEnqueue(_RWTagged):
+    kind_of_tag = _ENQUEUE_KINDS
+    __slots__ = ()
 
     def apply_to(self, state):
         s = state.clone()
@@ -682,6 +756,7 @@ class RWEnqueue(_RWTransition):
         return s
 
 
+@register
 class RWReaderLock(_RWTransition):
     kind = "rd_lock"
     __slots__ = ()
@@ -700,13 +775,10 @@ class RWReaderLock(_RWTransition):
         return s
 
 
-class RWWriterLock(_RWTransition):
-    __slots__ = ("tag", "kind")
-
-    def __init__(self, executor, oid, name, tag):
-        super().__init__(executor, oid, name)
-        self.tag = tag
-        self.kind = _WRITER_KIND_OF_TAG[tag]
+@register(kinds=tuple(_WRITER_KIND_OF_TAG.values()))
+class RWWriterLock(_RWTagged):
+    kind_of_tag = _WRITER_KIND_OF_TAG
+    __slots__ = ()
 
     def enabled_in(self, state):
         return state.objects[self.oid].can_acquire_writer(self.executor, self.tag)
@@ -722,6 +794,7 @@ class RWWriterLock(_RWTransition):
         return s
 
 
+@register(kinds=("rwunlock",))
 class RWUnlock(_RWTransition):
     kind = "rw_unlock"
     __slots__ = ()
@@ -743,6 +816,7 @@ class RWUnlock(_RWTransition):
 # ---------------------------------------------------------------------------
 
 
+@register
 class BarrierObj(VisibleObject):
     kind = "barrier"
     __slots__ = ("parties", "arrived")
@@ -751,6 +825,10 @@ class BarrierObj(VisibleObject):
         super().__init__(oid, name)
         self.parties = parties
         self.arrived = 0
+
+    @classmethod
+    def create(cls, oid, name, attrs, policy, max_spurious):
+        return cls(oid, name, attrs.get("parties", 1))
 
     def clone(self):
         c = BarrierObj(self.oid, self.name, self.parties)
@@ -761,14 +839,12 @@ class BarrierObj(VisibleObject):
         return (self.parties, self.arrived)
 
 
+@register
 class BarrierArrive(_ObjectOp):
+    # The arrival counter only grows and the finish gate only reads it, so
+    # every pair of same-barrier operations commutes: claim no conflicts.
     kind = "arrive"
     __slots__ = ()
-
-    # The arrival counter only grows and the finish gate only reads it, so
-    # every pair of same-barrier operations commutes: claim nothing.
-    def depends_with(self, other):
-        return False
 
     def apply_to(self, state):
         s = state.clone()
@@ -776,6 +852,7 @@ class BarrierArrive(_ObjectOp):
         return s
 
 
+@register
 class BarrierWaitFinish(_ObjectOp):
     kind = "barrier_finish"
     __slots__ = ()
@@ -784,32 +861,48 @@ class BarrierWaitFinish(_ObjectOp):
         barrier = state.objects[self.oid]
         return barrier.arrived >= barrier.parties
 
-    def depends_with(self, other):
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Thread lifecycle
 # ---------------------------------------------------------------------------
 
 
-class ThreadCreate(Transition):
-    kind = "create"
+class _ThreadOp(Transition):
+    """A create or join.  The framework rule covers the thread it names, so
+    it claims no dependence of its own and is indexed under no key."""
+
     __slots__ = ()
 
     def __init__(self, executor, target, target_name):
         super().__init__(executor, None, target_name)
         self.thread_target = target
 
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        return cls(tid, ctx.program.tid_of.get(req.target_name, -1), req.target_name)
+
     def depends_with(self, other):
-        return False  # the framework create/join rule covers the child
+        return False
 
     def footprint(self):
         return ()
 
     def coenabled_with(self, other):
-        # The child has no pending transition until the create applies.
+        # The target has no pending transition while this one is enabled: a
+        # child gets one when the create applies, and a join waits for exit.
         return other.executor != self.thread_target
+
+
+@register
+class ThreadCreate(_ThreadOp):
+    kind = "create"
+    __slots__ = ()
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        if req.target_name not in ctx.program.tid_of:
+            raise ProgramError(f"create names unknown thread {req.target_name!r}")
+        return super().build(tid, req, state, ctx)
 
     def apply_to(self, state):
         s = state.clone()
@@ -819,13 +912,10 @@ class ThreadCreate(Transition):
         return s
 
 
-class ThreadJoin(Transition):
+@register
+class ThreadJoin(_ThreadOp):
     kind = "join"
     __slots__ = ()
-
-    def __init__(self, executor, target, target_name):
-        super().__init__(executor, None, target_name)
-        self.thread_target = target
 
     def enabled_in(self, state):
         info = state.threads.get(self.thread_target)
@@ -836,21 +926,15 @@ class ThreadJoin(Transition):
             return f"join on unknown thread {self.object_name}"
         return None
 
-    def depends_with(self, other):
-        return False
 
-    def footprint(self):
-        return ()
-
-    def coenabled_with(self, other):
-        # Enabled only once the target has exited, i.e. once the target can
-        # have no transition of its own.
-        return other.executor != self.thread_target
-
-
+@register
 class ThreadExit(Transition):
     kind = "exit"
     __slots__ = ()
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        return cls(tid)
 
     def depends_with(self, other):
         return False
@@ -871,23 +955,38 @@ class ThreadExit(Transition):
 # ---------------------------------------------------------------------------
 
 
+def _require_var(req, state) -> None:
+    if req.object_name not in state.shared_vars:
+        raise ProgramError(f"{req.kind} of undeclared variable {req.object_name!r}")
+
+
+@register
 class VarRead(_ObjectOp):
     kind = "read"
     __slots__ = ()
+    conflicts = ("write",)
 
-    def depends_with(self, other):
-        return other.kind == "write" and self.same_object(other)
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        _require_var(req, state)
+        return cls(tid, None, req.object_name)
 
     def result_in(self, state):
         return state.shared_vars[self.object_name]
 
 
+@register
 class VarWrite(_ObjectOp):
     kind = "write"
     __slots__ = ()
 
     def __init__(self, executor, name, value):
         super().__init__(executor, None, name, payload=(value,))
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        _require_var(req, state)
+        return cls(tid, req.object_name, req.payload[0])
 
     def depends_with(self, other):
         if other.kind in ("read", "write") and self.same_object(other):
@@ -900,6 +999,7 @@ class VarWrite(_ObjectOp):
         return s
 
 
+@register
 class AssertCheck(Transition):
     """Atomically evaluate a predicate over the shared variables; a false
     result is recorded as a trace finding, and exploration continues."""
@@ -912,6 +1012,10 @@ class AssertCheck(Transition):
         self.predicate = predicate
         self.var_refs = tuple(var_refs)
         self.message = message
+
+    @classmethod
+    def build(cls, tid, req, state, ctx):
+        return cls(tid, req.predicate, req.var_refs, req.message, req.text)
 
     def depends_with(self, other):
         return other.kind == "write" and other.object_name in self.var_refs
@@ -932,24 +1036,12 @@ class AssertCheck(Transition):
 
 def make_object(kind: str, oid: ObjectId, name: str, attrs: dict,
                 policy: str, max_spurious: int) -> VisibleObject:
-    """Build a fresh visible object of the given kind.
+    """Build a fresh visible object of a registered kind.
 
     `attrs` come from the scenario declaration (or a host program); `policy`
     is the already-resolved wakeup policy for queue-bearing kinds.
     """
-    if kind == "mutex":
-        return MutexObj(oid, name, policy)
-    if kind == "sem":
-        return SemObj(oid, name, attrs.get("init", 0), policy)
-    if kind == "cond":
-        budget = attrs.get("spurious")
-        if budget is None:
-            budget = max_spurious
-        return CondObj(oid, name, policy, budget)
-    if kind == "rwlock":
-        return RWLockObj(oid, name, attrs.get("preference", WRITER_PREF))
-    if kind == "rwwlock":
-        return RWWLockObj(oid, name)
-    if kind == "barrier":
-        return BarrierObj(oid, name, attrs.get("parties", 1))
-    raise ValueError(f"unknown visible-object kind {kind!r}")
+    cls = OBJECT_CLASSES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown visible-object kind {kind!r}")
+    return cls.create(oid, name, attrs, policy, max_spurious)

@@ -10,8 +10,11 @@ process, and it is checked on every re-drive and every replay.
 
 Wait-style requests (`sem_wait`, `cond_wait`, `lock` under a queued policy,
 read/write lock acquisition, `barrier_wait`) are split here into their
-enqueue and finish halves: the body yields one high-level request and the
-session surfaces the parts one scheduling step at a time.
+enqueue and finish halves, by `primitives.WAIT_SPLITS`: the body yields one
+high-level request and the session surfaces the parts one scheduling step at
+a time.  Each surfaced request becomes a transition through the class
+registered for its kind (`core.register`), whose `build` names the objects
+it needs from the `BuildContext`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import EMBRYO, EXITED, RUNNABLE, ModelState, ThreadInfo, ThreadId, Transition
+from .core import (
+    EMBRYO,
+    EXITED,
+    RUNNABLE,
+    TRANSITION_CLASSES,
+    ModelState,
+    ProgramError,
+    ThreadInfo,
+    ThreadId,
+    Transition,
+)
 from . import primitives as prim
-
-
-class ProgramError(Exception):
-    """Malformed program or unregistered operation kind."""
 
 
 class NondeterminismDetected(Exception):
@@ -63,68 +72,33 @@ class OpRequest:
     text: str = ""
 
 
+def _request(kind: str, object_kind: str):
+    """Constructor of `kind` requests on one object, of `object_kind` unless
+    the caller names another."""
+    return staticmethod(lambda name, object_kind=object_kind: OpRequest(kind, name, object_kind))
+
+
 class ops:
     """Request constructors for host-language bodies (and the interpreter)."""
 
-    @staticmethod
-    def lock(name):
-        return OpRequest("lock", name, "mutex")
-
-    @staticmethod
-    def unlock(name):
-        return OpRequest("unlock", name, "mutex")
-
-    @staticmethod
-    def sem_wait(name):
-        return OpRequest("sem_wait", name, "sem")
-
-    @staticmethod
-    def sem_post(name):
-        return OpRequest("sem_post", name, "sem")
-
-    @staticmethod
-    def sem_getvalue(name):
-        return OpRequest("sem_getvalue", name, "sem")
+    lock = _request("lock", "mutex")
+    unlock = _request("unlock", "mutex")
+    sem_wait = _request("sem_wait", "sem")
+    sem_post = _request("sem_post", "sem")
+    sem_getvalue = _request("sem_getvalue", "sem")
+    cond_signal = _request("cond_signal", "cond")
+    cond_broadcast = _request("cond_broadcast", "cond")
+    rdlock = _request("rdlock", "rwlock")
+    wrlock = _request("wrlock", "rwlock")
+    wrlock1 = _request("wrlock1", "rwwlock")
+    wrlock2 = _request("wrlock2", "rwwlock")
+    rwunlock = _request("rwunlock", "rwlock")
+    barrier_wait = _request("barrier_wait", "barrier")
+    read = _request("read", "var")
 
     @staticmethod
     def cond_wait(cond, mutex):
         return OpRequest("cond_wait", cond, "cond", mutex_name=mutex)
-
-    @staticmethod
-    def cond_signal(name):
-        return OpRequest("cond_signal", name, "cond")
-
-    @staticmethod
-    def cond_broadcast(name):
-        return OpRequest("cond_broadcast", name, "cond")
-
-    @staticmethod
-    def rdlock(name, object_kind="rwlock"):
-        return OpRequest("rdlock", name, object_kind)
-
-    @staticmethod
-    def wrlock(name):
-        return OpRequest("wrlock", name, "rwlock")
-
-    @staticmethod
-    def wrlock1(name):
-        return OpRequest("wrlock1", name, "rwwlock")
-
-    @staticmethod
-    def wrlock2(name):
-        return OpRequest("wrlock2", name, "rwwlock")
-
-    @staticmethod
-    def rwunlock(name, object_kind="rwlock"):
-        return OpRequest("rwunlock", name, object_kind)
-
-    @staticmethod
-    def barrier_wait(name):
-        return OpRequest("barrier_wait", name, "barrier")
-
-    @staticmethod
-    def read(name):
-        return OpRequest("read", name, "var")
 
     @staticmethod
     def write(name, value):
@@ -142,13 +116,6 @@ class ops:
     @staticmethod
     def join(thread_name):
         return OpRequest("join", target_name=thread_name)
-
-
-class PendingOp(NamedTuple):
-    """A surfaced visible-operation request, pre-transition form."""
-
-    thread: ThreadId
-    op: OpRequest
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +205,6 @@ class BuildContext:
             if decl.kind != "var":
                 self.registry.oid_for(decl.name, decl.kind)
 
-    def decl_for(self, name: str) -> Optional[ObjectDecl]:
-        return self.decls.get(name)
-
-    def object_kind(self, name: str, fallback: Optional[str]) -> str:
-        decl = self.decls.get(name)
-        if decl is not None:
-            return decl.kind
-        if fallback is None:
-            raise ProgramError(f"object {name!r} has no declaration and no kind hint")
-        return fallback
-
     def policy_for(self, kind: str, name: str) -> str:
         decl = self.decls.get(name)
         policy = None
@@ -264,6 +220,20 @@ class BuildContext:
             policy = prim.ARB_INDEP
         return policy
 
+    def ensure_object(self, state: ModelState, name: str, kind_hint: Optional[str]) -> int:
+        """The id of object `name`, of its declared kind or else `kind_hint`,
+        creating the object in `state` (an owned snapshot) on first encounter."""
+        decl = self.decls.get(name)
+        kind = decl.kind if decl is not None else kind_hint
+        if kind is None:
+            raise ProgramError(f"object {name!r} has no declaration and no kind hint")
+        oid = self.registry.oid_for(name, kind)
+        if oid not in state.objects:
+            state.objects[oid] = prim.make_object(
+                kind, oid, name, decl.attrs if decl is not None else {},
+                self.policy_for(kind, name), self.max_spurious)
+        return oid
+
 
 # ---------------------------------------------------------------------------
 # Sessions
@@ -271,14 +241,12 @@ class BuildContext:
 
 
 class _ThreadRun:
-    __slots__ = ("gen", "parts", "current", "started", "finished")
+    __slots__ = ("gen", "parts", "started")
 
     def __init__(self):
         self.gen = None
         self.parts: list = []
-        self.current: Optional[OpRequest] = None
         self.started = False
-        self.finished = False
 
 
 class RuntimeSession:
@@ -307,12 +275,8 @@ class RuntimeSession:
     def advance(self, tid: ThreadId, result=None) -> Optional[OpRequest]:
         run = self.runs[tid]
         if run.parts:
-            run.current = run.parts.pop(0)
-            return run.current
+            return run.parts.pop(0)
         return self._advance_gen(tid, run, result=result)
-
-    def current_op(self, tid: ThreadId) -> Optional[OpRequest]:
-        return self.runs[tid].current
 
     def rewind(self, tid: ThreadId) -> None:
         """Drop a thread's body so that the next `spawn` starts it afresh."""
@@ -322,43 +286,18 @@ class RuntimeSession:
         try:
             req = next(run.gen) if first else run.gen.send(result)
         except StopIteration:
-            run.finished = True
-            run.current = None
             return None
         except Exception as exc:  # body fault: the crash-finding path
-            run.finished = True
-            run.current = None
             raise BodyCrash(tid, exc) from exc
-        parts = self._expand(req)
-        run.current = parts[0]
-        run.parts = parts[1:]
-        return run.current
-
-    def _expand(self, req: OpRequest) -> list:
-        kind = req.kind
-        if kind == "lock":
-            policy = self.ctx.policy_for("mutex", req.object_name)
-            if policy == prim.ARB_FUSED:
-                return [req]
-            return [replace(req, kind="lock_enqueue"), req]
-        if kind == "sem_wait":
-            policy = self.ctx.policy_for("sem", req.object_name)
-            if policy == prim.ARB_FUSED:
-                return [req]
-            return [replace(req, kind="sem_enqueue"), replace(req, kind="sem_finish")]
-        if kind == "cond_wait":
-            return [replace(req, kind="cond_enqueue"), replace(req, kind="cond_wake")]
-        if kind == "rdlock":
-            return [replace(req, kind="rd_enqueue"), replace(req, kind="rd_lock")]
-        if kind == "wrlock":
-            return [replace(req, kind="wr_enqueue"), replace(req, kind="wr_lock")]
-        if kind == "wrlock1":
-            return [replace(req, kind="wr1_enqueue"), replace(req, kind="wr1_lock")]
-        if kind == "wrlock2":
-            return [replace(req, kind="wr2_enqueue"), replace(req, kind="wr2_lock")]
-        if kind == "barrier_wait":
-            return [replace(req, kind="arrive"), replace(req, kind="barrier_finish")]
-        return [req]
+        parts = prim.WAIT_SPLITS.get(req.kind)
+        if parts is None:
+            return req
+        fused_kind = prim.FUSED_WAITS.get(req.kind)
+        if (fused_kind is not None
+                and self.ctx.policy_for(fused_kind, req.object_name) == prim.ARB_FUSED):
+            return req
+        run.parts = [replace(req, kind=parts[1])]
+        return replace(req, kind=parts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,203 +305,16 @@ class RuntimeSession:
 # ---------------------------------------------------------------------------
 
 
-def _ensure_object(state: ModelState, ctx: BuildContext, name: str,
-                   kind_hint: Optional[str]) -> int:
-    kind = ctx.object_kind(name, kind_hint)
-    oid = ctx.registry.oid_for(name, kind)
-    if oid not in state.objects:
-        decl = ctx.decl_for(name)
-        attrs = decl.attrs if decl is not None else {}
-        policy = ctx.policy_for(kind, name)
-        state.objects[oid] = prim.make_object(kind, oid, name, attrs, policy,
-                                              ctx.max_spurious)
-    return oid
-
-
-def _rw_tags(kind: str):
-    return {"rd_enqueue": "r", "rd_lock": "r", "wr_enqueue": "w", "wr_lock": "w",
-            "wr1_enqueue": "w1", "wr1_lock": "w1", "wr2_enqueue": "w2",
-            "wr2_lock": "w2"}[kind]
-
-
-def build_transition(p: PendingOp, state: ModelState, ctx: BuildContext) -> Transition:
+def build_transition(tid: ThreadId, req: OpRequest, state: ModelState,
+                     ctx: BuildContext) -> Transition:
     """Convert a surfaced request into its transition, creating any visible
     object it names on first encounter.  `state` must be an owned snapshot;
     object creation mutates it in place.
     """
-    tid, req = p.thread, p.op
-    kind = req.kind
-    builder = HANDLERS.get(kind)
-    if builder is None:
-        raise ProgramError(f"no handler registered for operation kind {kind!r}")
-    return builder(tid, req, state, ctx)
-
-
-HANDLERS: dict = {}
-
-
-def register_handler(kind: str, builder) -> None:
-    """Install a builder for a new operation kind (extension point)."""
-    HANDLERS[kind] = builder
-
-
-def _handler(kind):
-    def deco(fn):
-        register_handler(kind, fn)
-        return fn
-    return deco
-
-
-@_handler("create")
-def _build_create(tid, req, state, ctx):
-    target = ctx.program.tid_of.get(req.target_name, -1)
-    if target < 0:
-        raise ProgramError(f"create names unknown thread {req.target_name!r}")
-    return prim.ThreadCreate(tid, target, req.target_name)
-
-
-@_handler("join")
-def _build_join(tid, req, state, ctx):
-    target = ctx.program.tid_of.get(req.target_name, -1)
-    return prim.ThreadJoin(tid, target, req.target_name)
-
-
-@_handler("exit")
-def _build_exit(tid, req, state, ctx):
-    return prim.ThreadExit(tid)
-
-
-@_handler("lock_enqueue")
-def _build_lock_enqueue(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "mutex")
-    return prim.MutexEnqueue(tid, oid, req.object_name,
-                             ctx.policy_for("mutex", req.object_name))
-
-
-@_handler("lock")
-def _build_lock(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "mutex")
-    return prim.MutexLock(tid, oid, req.object_name)
-
-
-@_handler("unlock")
-def _build_unlock(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "mutex")
-    return prim.MutexUnlock(tid, oid, req.object_name)
-
-
-@_handler("sem_post")
-def _build_sem_post(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "sem")
-    return prim.SemPost(tid, oid, req.object_name)
-
-
-@_handler("sem_getvalue")
-def _build_sem_getvalue(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "sem")
-    return prim.SemGetValue(tid, oid, req.object_name)
-
-
-@_handler("sem_enqueue")
-def _build_sem_enqueue(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "sem")
-    return prim.SemEnqueue(tid, oid, req.object_name,
-                           ctx.policy_for("sem", req.object_name))
-
-
-@_handler("sem_finish")
-def _build_sem_finish(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "sem")
-    return prim.SemWaitFinish(tid, oid, req.object_name)
-
-
-@_handler("sem_wait")
-def _build_sem_fused(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "sem")
-    return prim.SemWaitFused(tid, oid, req.object_name)
-
-
-@_handler("cond_enqueue")
-def _build_cond_enqueue(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "cond")
-    moid = _ensure_object(state, ctx, req.mutex_name, "mutex")
-    return prim.CondEnqueue(tid, oid, req.object_name, moid, req.mutex_name,
-                            ctx.policy_for("cond", req.object_name))
-
-
-@_handler("cond_wake")
-def _build_cond_wake(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "cond")
-    moid = _ensure_object(state, ctx, req.mutex_name, "mutex")
-    return prim.CondWakeFinish(tid, oid, req.object_name, moid, req.mutex_name)
-
-
-@_handler("cond_signal")
-def _build_cond_signal(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "cond")
-    return prim.CondSignal(tid, oid, req.object_name)
-
-
-@_handler("cond_broadcast")
-def _build_cond_broadcast(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "cond")
-    return prim.CondBroadcast(tid, oid, req.object_name)
-
-
-def _build_rw_enqueue(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, req.object_kind or "rwlock")
-    return prim.RWEnqueue(tid, oid, req.object_name, _rw_tags(req.kind))
-
-
-def _build_rw_lock(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, req.object_kind or "rwlock")
-    tag = _rw_tags(req.kind)
-    if tag == "r":
-        return prim.RWReaderLock(tid, oid, req.object_name)
-    return prim.RWWriterLock(tid, oid, req.object_name, tag)
-
-
-for _k in ("rd_enqueue", "wr_enqueue", "wr1_enqueue", "wr2_enqueue"):
-    register_handler(_k, _build_rw_enqueue)
-for _k in ("rd_lock", "wr_lock", "wr1_lock", "wr2_lock"):
-    register_handler(_k, _build_rw_lock)
-
-
-@_handler("rwunlock")
-def _build_rw_unlock(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, req.object_kind or "rwlock")
-    return prim.RWUnlock(tid, oid, req.object_name)
-
-
-@_handler("arrive")
-def _build_arrive(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "barrier")
-    return prim.BarrierArrive(tid, oid, req.object_name)
-
-
-@_handler("barrier_finish")
-def _build_barrier_finish(tid, req, state, ctx):
-    oid = _ensure_object(state, ctx, req.object_name, "barrier")
-    return prim.BarrierWaitFinish(tid, oid, req.object_name)
-
-
-@_handler("read")
-def _build_read(tid, req, state, ctx):
-    if req.object_name not in state.shared_vars:
-        raise ProgramError(f"read of undeclared variable {req.object_name!r}")
-    return prim.VarRead(tid, None, req.object_name)
-
-
-@_handler("write")
-def _build_write(tid, req, state, ctx):
-    if req.object_name not in state.shared_vars:
-        raise ProgramError(f"write of undeclared variable {req.object_name!r}")
-    return prim.VarWrite(tid, req.object_name, req.payload[0])
-
-
-@_handler("assert")
-def _build_assert(tid, req, state, ctx):
-    return prim.AssertCheck(tid, req.predicate, req.var_refs, req.message, req.text)
+    cls = TRANSITION_CLASSES.get(req.kind)
+    if cls is None:
+        raise ProgramError(f"no transition class registered for operation kind {req.kind!r}")
+    return cls.build(tid, req, state, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +355,7 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
     returned (`op` None) has its exit step pending."""
     if op is None:
         return prim.ThreadExit(tid)
-    return build_transition(PendingOp(tid, op), state, ctx)
+    return build_transition(tid, op, state, ctx)
 
 
 def moved_bodies(t: Transition) -> tuple:

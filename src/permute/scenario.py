@@ -30,7 +30,8 @@ Grammar sketch::
                | "barrier_wait" NAME | NAME "=" "read" NAME | "write" NAME expr
 
 `#` starts a comment.  Integers are the only value type; conditions treat
-nonzero as true.
+nonzero as true.  Blocks, parentheses and operators may nest at most
+`MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -258,10 +259,27 @@ _SIMPLE_OPS = ("lock", "unlock", "sem_wait", "sem_post", "cond_signal",
                "rwunlock", "barrier_wait")
 
 
+# Parsing, validating, printing and evaluating all recurse on nesting, so a
+# scenario's blocks, parentheses and operators may nest this deep at most.
+MAX_NESTING = 64
+
+
+def _operator_depth(expr) -> int:
+    """How deep operators nest in `expr`, counted level by level rather than
+    by recursion (0 for a name or a number)."""
+    depth, level = -1, [expr]
+    while level:
+        depth += 1
+        level = [side for e in level if isinstance(e, (Unary, Binary))
+                 for side in ((e.operand,) if isinstance(e, Unary) else (e.left, e.right))]
+    return depth
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0    # enclosing blocks, parentheses and prefix operators
 
     # -- token helpers ---------------------------------------------------
 
@@ -292,6 +310,12 @@ class _Parser:
             self.next()
             return True
         return False
+
+    def enter(self):
+        """Count one more level of nesting before descending into it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def ident(self, what="name") -> str:
         tok = self.expect("NAME")
@@ -370,8 +394,11 @@ class _Parser:
         return ThreadDef(name, body)
 
     def block(self) -> list:
+        self.enter()
         self.expect("{")
-        return self.block_tail()
+        stmts = self.block_tail()
+        self.depth -= 1
+        return stmts
 
     def block_tail(self) -> list:
         stmts = []
@@ -457,7 +484,13 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def expr(self):
-        return self.or_expr()
+        """A statement's expression.  A chain like `1 + 1 + 1` parses in a
+        loop but nests operators, so the tree's depth is checked too."""
+        tok = self.peek()
+        expr = self.or_expr()
+        if self.depth + _operator_depth(expr) > MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels", tok)
+        return expr
 
     def or_expr(self):
         left = self.and_expr()
@@ -475,8 +508,11 @@ class _Parser:
 
     def not_expr(self):
         if self.peek().type == "!":
+            self.enter()
             self.next()
-            return Unary("!", self.not_expr())
+            operand = self.not_expr()
+            self.depth -= 1
+            return Unary("!", operand)
         return self.comparison()
 
     def comparison(self):
@@ -502,8 +538,11 @@ class _Parser:
 
     def unary(self):
         if self.peek().type == "-":
+            self.enter()
             self.next()
-            return Unary("-", self.unary())
+            operand = self.unary()
+            self.depth -= 1
+            return Unary("-", operand)
         return self.atom()
 
     def atom(self):
@@ -512,9 +551,11 @@ class _Parser:
             self.next()
             return Num(tok.value)
         if tok.type == "(":
+            self.enter()
             self.next()
-            inner = self.expr()
+            inner = self.or_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.type == "NAME":
             if tok.value in KEYWORDS:

@@ -35,21 +35,29 @@ def _classify_deadlock(state, budget) -> bool:
     return True
 
 
+def _context(program, config):
+    """The build context and the per-thread budget that `config` asks for."""
+    if config is None:
+        return BuildContext(program), None
+    ctx = BuildContext(program, config.policy_overrides, config.max_spurious_wakeups)
+    return ctx, config.max_depth_per_thread
+
+
+def fresh_session_at(program, ctx, path):
+    """A new session and its state after running the schedule `path` from the
+    start.  Generators cannot be forked, so each branch but the first of a
+    walk rebuilds its prefix this way."""
+    session = RuntimeSession(program, ctx)
+    state = initial_state(program, session, ctx)
+    for tid in path:
+        state = execute_step(session, state, tid, ctx).state
+    return session, state
+
+
 def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
     """Enumerate every interleaving of `program` under `config` limits."""
-    policy_overrides = getattr(config, "policy_overrides", {}) if config else {}
-    max_spurious = getattr(config, "max_spurious_wakeups", 0) if config else 0
-    budget = getattr(config, "max_depth_per_thread", None) if config else None
-
-    ctx = BuildContext(program, policy_overrides, max_spurious)
+    ctx, budget = _context(program, config)
     result = BruteResult()
-
-    def fresh_session_at(path):
-        session = RuntimeSession(program, ctx)
-        state = initial_state(program, session, ctx)
-        for tid in path:
-            state = execute_step(session, state, tid, ctx).state
-        return session, state
 
     def note_findings(findings, state):
         for f in findings:
@@ -67,7 +75,6 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
                 result.race_vars.add(var)
 
     path = []
-    session, state0 = fresh_session_at(path)
 
     def rec(session, state):
         if result.traces >= max_traces:
@@ -84,15 +91,14 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
         scan_races(state, enabled)
         for k, tid in enumerate(enabled):
             if k > 0:
-                # Generators cannot be forked; rebuild and re-run the prefix.
-                session, state = fresh_session_at(path)
+                session, state = fresh_session_at(program, ctx, path)
             outcome = execute_step(session, state, tid, ctx)
             note_findings(outcome.findings, state)
             path.append(tid)
             rec(session, outcome.state)
             path.pop()
 
-    rec(session, state0)
+    rec(*fresh_session_at(program, ctx, path))
     return result
 
 
@@ -106,20 +112,8 @@ class StateGraph:
 def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
     """Every distinct reachable state, by depth-first walk memoized on the
     state fingerprint (each state expanded once, whatever path reached it)."""
-    policy_overrides = getattr(config, "policy_overrides", {}) if config else {}
-    max_spurious = getattr(config, "max_spurious_wakeups", 0) if config else 0
-    budget = getattr(config, "max_depth_per_thread", None) if config else None
-
-    ctx = BuildContext(program, policy_overrides, max_spurious)
+    ctx, budget = _context(program, config)
     graph = StateGraph()
-
-    def fresh_session_at(path):
-        session = RuntimeSession(program, ctx)
-        state = initial_state(program, session, ctx)
-        for tid in path:
-            state = execute_step(session, state, tid, ctx).state
-        return session, state
-
     path = []
 
     def rec(session, state):
@@ -137,12 +131,11 @@ def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
             return
         for k, tid in enumerate(enabled):
             if k > 0:
-                session, state = fresh_session_at(path)
+                session, state = fresh_session_at(program, ctx, path)
             outcome = execute_step(session, state, tid, ctx)
             path.append(tid)
             rec(session, outcome.state)
             path.pop()
 
-    session, state0 = fresh_session_at(path)
-    rec(session, state0)
+    rec(*fresh_session_at(program, ctx, path))
     return graph

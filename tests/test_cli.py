@@ -264,3 +264,16 @@ def test_replay_rejects_unknown_config_key(tmp_path, capsys):
     def add_key(text):
         return text.replace("config: {", "config: {\"bogus\": 1, ", 1)
     _one_error_line(*_damaged_trace(tmp_path, capsys, add_key))
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("policy_overrides", "5"),
+    ("policy_overrides", '{"mutex": "sometimes"}'),
+    ("max_spurious_wakeups", '"x"'),
+    ("max_depth_per_thread", "true"),
+    ("sleep_sets_enabled", "1"),
+])
+def test_replay_rejects_config_value_of_wrong_type(tmp_path, capsys, field, bad):
+    def retype(text):
+        return re.sub(rf'"{field}": ([^,{{}}]+|{{[^}}]*}})', f'"{field}": {bad}', text, count=1)
+    _one_error_line(*_damaged_trace(tmp_path, capsys, retype))

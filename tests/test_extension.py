@@ -1,4 +1,4 @@
-"""A user-defined primitive, wired in the same way the built-ins are.
+"""A user-defined primitive, declared in the same way the built-ins are.
 
 Models a one-shot gate: `gate_open` flips it open (idempotent), `gate_pass`
 completes only once the gate is open.  The declared attributes are minimal:
@@ -7,17 +7,22 @@ operations, and two passes of the same gate share (the gate never closes
 again, so their order is dead).
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
-from permute.core import Transition, VisibleObject, dependent, fingerprint
-from permute.engine import ExplorationConfig, FootprintIndex, explore
-from permute.runtime import (
-    HANDLERS,
-    ObjectDecl,
-    OpRequest,
-    Program,
-    register_handler,
+from permute.core import (
+    OBJECT_CLASSES,
+    TRANSITION_CLASSES,
+    Transition,
+    VisibleObject,
+    dependent,
+    fingerprint,
+    register,
 )
+from permute.engine import ExplorationConfig, FootprintIndex, explore
+from permute.runtime import ObjectDecl, OpRequest, Program
 
 
 class GateObj(VisibleObject):
@@ -75,22 +80,14 @@ class ConservativePass(GatePass):
         return other.kind in ("gate_open", "gate_pass") and self.same_object(other)
 
 
-def _ensure_gate(state, ctx, name):
-    oid = ctx.registry.oid_for(name, "gate")
-    if oid not in state.objects:
-        state.objects[oid] = GateObj(oid, name)
-    return oid
-
-
 @pytest.fixture(autouse=True)
-def _registered_gate_ops():
-    register_handler("gate_open", lambda tid, req, state, ctx: GateOpen(
-        tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
-    register_handler("gate_pass", lambda tid, req, state, ctx: GatePass(
-        tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
+def _registered_gate():
+    for cls in (GateObj, GateOpen, GatePass):
+        register(cls)
     yield
-    HANDLERS.pop("gate_open", None)
-    HANDLERS.pop("gate_pass", None)
+    OBJECT_CLASSES.pop("gate", None)
+    TRANSITION_CLASSES.pop("gate_open", None)
+    TRANSITION_CLASSES.pop("gate_pass", None)
 
 
 def gate_open(name):
@@ -163,8 +160,7 @@ def test_independent_passes_collapse_to_one_trace():
     # With pass/pass declared independent, the two waiters' orders collapse;
     # only the open-vs-pass races remain.
     independent = explore(make_program(waiters=2))
-    register_handler("gate_pass", lambda tid, req, state, ctx: ConservativePass(
-        tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
+    register(ConservativePass)
     conservative = explore(make_program(waiters=2))
     assert independent.traces <= conservative.traces
     assert independent.deadlocks == conservative.deadlocks == 0
@@ -174,8 +170,7 @@ def test_independent_passes_collapse_to_one_trace():
 def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class):
     # The gate declares no footprint, so its steps are wildcards in the
     # index; the search must match one that scans every step for everything.
-    register_handler("gate_pass", lambda tid, req, state, ctx: pass_class(
-        tid, _ensure_gate(state, ctx, req.object_name), req.object_name))
+    register(pass_class)
 
     def explore_all():
         traces = []
@@ -186,3 +181,38 @@ def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class)
     monkeypatch.setattr(FootprintIndex, "candidates",
                         lambda self, t: [range(len(self.lists_at))])
     assert explore_all() == indexed
+
+
+def test_readme_gate_example_runs():
+    # The README's "Adding a primitive" code block is executed as written,
+    # so it cannot drift from the API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Adding a primitive"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    ns: dict = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert TRANSITION_CLASSES["gate_pass"] is ns["GatePass"]
+    assert OBJECT_CLASSES["gate"] is ns["GateObj"]
+
+    def program(opener):
+        workers = ["t1", "t2", "t3"] if opener else ["t2", "t3"]
+
+        def main():
+            for name in workers:
+                yield OpRequest("create", target_name=name)
+            for name in workers:
+                yield OpRequest("join", target_name=name)
+
+        def opens():
+            yield ns["gate_open"]("g")
+
+        def passes():
+            yield ns["gate_pass"]("g")
+
+        bodies = {"t1": opens, "t2": passes, "t3": passes}
+        return Program([("main", main)] + [(w, bodies[w]) for w in workers])
+
+    report = explore(program(opener=True))
+    assert report.traces >= 1 and not report.has_findings()
+    blocked = explore(program(opener=False))
+    assert blocked.deadlocks == blocked.traces == 1

@@ -5,7 +5,9 @@ import pytest
 from permute.corpus import list_scenarios
 from permute.engine import ExplorationConfig, explore
 from permute.runtime import BuildContext, RuntimeSession, execute_step, initial_state
+from permute.cli import main
 from permute.scenario import (
+    MAX_NESTING,
     Assign,
     IfStmt,
     OpStmt,
@@ -62,6 +64,47 @@ def test_error_carries_position():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("mutex m\nthread t {\n  lock ??; }")
     assert err.value.line == 3
+
+
+def _nested_whiles(levels):
+    return ("var v = 0\nthread t {\n n = 1;\n" + "while (n) {\n" * levels
+            + "n = 0;\n" + "}\n" * levels + "}\n")
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 2000 + "1" + ")" * 2000,
+    "!" * 2000 + "1",
+    "- " * 2000 + "1",
+    " + ".join(["1"] * 2000),
+])
+def test_over_deep_expression_is_a_positioned_error(expr):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("var v = 0\nthread t {\n  x = " + expr + ";\n}")
+    assert err.value.line == 3 and err.value.col > 0
+    assert "nest" in err.value.message
+
+
+def test_over_deep_while_blocks_are_a_positioned_error(tmp_path, capsys):
+    parse_scenario(_nested_whiles(MAX_NESTING))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_nested_whiles(MAX_NESTING + 1))
+    assert (err.value.line, err.value.col) == (MAX_NESTING + 4, 11)  # its "{"
+
+    path = tmp_path / "deep.scn"
+    path.write_text(_nested_whiles(2000))
+    assert main(["check", str(path), "--trace-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "nesting deeper than" in captured.err
+
+
+def test_expression_at_the_nesting_limit_parses_and_runs():
+    chain = " + ".join(["1"] * (MAX_NESTING + 1))
+    prog = parse_scenario("var v = 0\nthread t { x = " + chain + "; write v x; }")
+    report = explore(instantiate(prog))
+    assert report.traces == 1 and not report.has_findings()
+    with pytest.raises(ScenarioError):
+        parse_scenario("var v = 0\nthread t { x = " + chain + " + 1; }")
 
 
 def test_round_trip_on_every_corpus_file():
