@@ -9,8 +9,9 @@ classes that build themselves from them.  A transition declares only
 its *own* relations: the framework combines two transitions' claims with OR
 for dependence (either side may assert a conflict) and AND for co-enabledness
 (either side may veto).  Claims are written under the framework guarantee
-that the other transition runs on a different thread and does not create or
-join the claiming transition's thread; those cases are handled here, once.
+that the two transitions run on different threads and that neither creates
+or joins the other's thread; those cases are handled here, once, for both
+relations.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ class Transition:
     kind = "op"
 
     # thread_target: the thread created or joined by this transition, if
-    # any -- consulted by the framework create/join dependence rule.
-    __slots__ = ("executor", "oid", "object_name", "payload", "thread_target")
+    # any -- consulted by the framework create/join rules.  request: the
+    # request the runtime built this transition from, if any.
+    __slots__ = ("executor", "oid", "object_name", "payload", "thread_target",
+                 "request")
 
     def __init__(self, executor: ThreadId, oid: Optional[ObjectId] = None,
                  object_name: Optional[str] = None, payload: tuple = ()):
@@ -92,6 +95,7 @@ class Transition:
         self.object_name = object_name
         self.payload = payload
         self.thread_target: Optional[ThreadId] = None
+        self.request = None
 
     @classmethod
     def build(cls, tid: ThreadId, req, state: "ModelState", ctx) -> "Transition":
@@ -204,9 +208,16 @@ def dependent(a: Transition, b: Transition) -> bool:
 
 
 def coenabled(a: Transition, b: Transition) -> bool:
-    """Symmetric co-enabledness: a thread has one next transition, and
-    either side may veto the pair (AND of the two claims)."""
+    """Symmetric co-enabledness: a thread has one next transition; a create
+    or join is never co-enabled with a step of the thread it names (the
+    thread has no pending transition before its create applies, nor once a
+    join of it is enabled); otherwise either side may veto the pair (AND of
+    the two claims).  The engine's backtrack scan relies on the create/join
+    rule being here: it does not visit steps related to a transition only by
+    `thread_target`, since this rule rejects every such pair."""
     if a.executor == b.executor:
+        return False
+    if a.thread_target == b.executor or b.thread_target == a.executor:
         return False
     return a.coenabled_with(b) and b.coenabled_with(a)
 

@@ -8,17 +8,28 @@ thread id, and descends.  Finished subtrees push their transition into the
 frame's sleep set so sibling branches skip reorderings that are already
 covered.
 
-The backward scans for backtrack points and for clock vectors only visit
-steps that can conflict: a footprint index lists the trace positions of each
-footprint key, of each thread, and of wildcard steps (see
-`Transition.footprint`).
+The work per step follows what the step changed:
+
+- The backward scans only visit steps that can conflict: a footprint index
+  lists the trace positions of each footprint key, of wildcard steps (see
+  `Transition.footprint`), and of the steps related to each thread by a
+  create or join.  The backtrack scan skips the related steps, which the
+  framework never counts co-enabled (`core.coenabled`); the clock merge
+  visits them, since they are dependent.
+- A live thread the last step did not move -- its pending transition and
+  its clock are the objects the parent frame held -- was already scanned by
+  the parent frame over every step but the newest, so only the newest step
+  is tested for it (see `update_backtrack_sets`).
+- The clock merge walks its candidates newest first and skips a step its
+  accumulating clock already covers.
 
 Backtracking restores model state from the frame snapshots.  Thread bodies
 are generators and cannot be rewound, so only the bodies the popped steps
 resumed are moved back: each is restarted and re-driven through its own
 steps of the remaining prefix, with the results recorded in the snapshots,
 and every request it surfaces again must match the pending transition the
-snapshot holds (otherwise NondeterminismDetected).
+snapshot holds (otherwise NondeterminismDetected).  A request equal to the
+one the pending transition was built from matches without a build.
 """
 
 from __future__ import annotations
@@ -168,9 +179,9 @@ class FootprintIndex:
     list when it declares none, under the thread that executed it, and
     under its thread_target.  A step of another thread can only be
     dependent with a transition when they share a key, when one of them is
-    a wildcard, or when one targets the other's executor, so a scan for
-    the steps a transition may depend on visits just those lists; a
-    wildcard transition visits every position.
+    a wildcard (`candidates`), or when one targets the other's executor
+    (`related`), so a scan for the steps a transition may depend on visits
+    just those lists; a wildcard transition visits every position.
     """
 
     __slots__ = ("by_key", "executed", "targeting", "wildcard", "lists_at")
@@ -203,31 +214,47 @@ class FootprintIndex:
 
     def candidates(self, t: Transition) -> list:
         """Ascending position lists that together hold every step of another
-        thread that `t` may be dependent with.  They may hold steps of t's
-        own thread too, and a position may appear in more than one."""
+        thread that `t` may be dependent with through a claim: its key lists
+        and the wildcard list.  They may hold steps of t's own thread too,
+        and a position may appear in more than one."""
         footprint = t.footprint()
         if footprint is None:
             return [range(len(self.lists_at))]
-        lists = [self.wildcard, self.targeting.get(t.executor, ())]
+        by_key = self.by_key
+        return [self.wildcard] + [by_key.get(key, ()) for key in footprint]
+
+    def related(self, t: Transition) -> list:
+        """Ascending position lists of the steps that target `t`'s executor
+        and of the steps of `t`'s target: dependent with `t` by the framework
+        rule, and never co-enabled with it."""
+        lists = [self.targeting.get(t.executor, ())]
         if t.thread_target is not None:
             lists.append(self.executed.get(t.thread_target, ()))
-        by_key = self.by_key
-        for key in footprint:
-            lists.append(by_key.get(key, ()))
         return lists
 
 
 def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
-                          next_t: Transition, index: FootprintIndex) -> None:
+                          next_t: Transition, index: FootprintIndex,
+                          since: int = 0) -> None:
     """Add a backtrack point at the pre-state of the latest transition that
     is dependent with, co-enabled with, and not causally before `next_t`.
 
     Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
-    winning.
+    winning.  The steps `index.related` lists for `next_t` need not be
+    candidates: `coenabled` rejects every pair a create or join makes with
+    a step of the thread it names.
+
+    Only steps at positions `since` and later are tested.  The search
+    passes the newest position for a thread the last step did not move: the
+    parent frame ran this scan for the same transition with the same thread
+    clock over every older step, and nothing that decides a step's outcome
+    (the step, `next_t`, its clock, the frame the point lands in) has
+    changed since, so a point found among the older steps was already added
+    there, and adding it again changes nothing.
     """
     executor = next_t.executor
-    latest = -1
+    latest = since - 1
     for positions in index.candidates(next_t):
         for i in reversed(positions):
             if i <= latest:
@@ -244,13 +271,24 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
                 continue
             latest = i
             break
-    if latest < 0:
+    if latest < since:
         return
     entry = stack[latest]
     if executor in entry.enabled:
         entry.backtrack.add(executor)
     else:
         entry.backtrack.update(entry.enabled)
+
+
+def _same_request(op, recorded) -> bool:
+    """Whether a re-surfaced request builds the transition built from
+    `recorded` without building it.  A build takes the kind, object name
+    and payload a schedule step shows from its request alone, so an equal
+    request surfaces an equal step; payload values must also match in type,
+    since equal values of different types (1, 1.0, True) print apart."""
+    return op is not None and (op is recorded or (
+        op == recorded
+        and all(type(a) is type(b) for a, b in zip(op.payload, recorded.payload))))
 
 
 def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
@@ -373,6 +411,42 @@ class _Search:
             out.append(tid)
         return out
 
+    def _add_backtrack_points(self, frame: StackEntry) -> None:
+        """Backtrack points for the pending transition of every live thread,
+        enabled or not: a blocked transition can still race with the step
+        that blocked it, and its alternative ordering must be scheduled at
+        that older frame.  A thread the last step did not move is tested
+        against the newest step only (see `update_backtrack_sets`)."""
+        stack, trace, index = self.stack, self.trace, self.index
+        parent = stack[-2] if len(stack) > 1 else None
+        newest = len(trace) - 1
+        threads, clocks = frame.pre_state.threads, frame.thread_clocks
+        for tid in self._update_candidates(frame):
+            pending = threads[tid].pending
+            since = 0
+            if (parent is not None and parent.pre_state.threads[tid].pending is pending
+                    and parent.thread_clocks.get(tid) is clocks.get(tid)):
+                since = newest
+            update_backtrack_sets(stack, trace, frame, pending, index, since)
+
+    def _step_clock(self, frame: StackEntry, t: Transition) -> ClockVector:
+        """Clock vector of step `t` from `frame`: its thread's clock merged
+        with the clocks of the earlier steps it depends on, then its own
+        entry.  Candidates are walked newest first, and a step whose
+        executor entry the accumulating clock already covers is skipped: its
+        clock is already below the accumulated one, so merging it changes
+        nothing.  The thread's own earlier steps are all covered."""
+        clock = frame.thread_clocks.get(t.executor, EMPTY_CLOCK)
+        trace, step_clocks, index = self.trace, self.step_clocks, self.index
+        for positions in itertools.chain(index.candidates(t), index.related(t)):
+            for j in reversed(positions):
+                prior = trace[j]
+                if clock.entries.get(prior.executor, 0) > j:
+                    continue
+                if dependent(prior, t):
+                    clock = clock.merged(step_clocks[j])
+        return clock.with_entry(t.executor, len(trace) + 1)
+
     # -- session repositioning -------------------------------------------
 
     def _redrive(self) -> None:
@@ -400,6 +474,8 @@ class _Search:
         state = self.stack[i + 1].pre_state
         expected = state.threads[tid].pending
         if crash is None:
+            if expected is not None and _same_request(op, expected.request):
+                return
             # A divergent request may name a new object: build it on a copy
             # of the object table so that the snapshot stays as recorded.
             scratch = ModelState(dict(state.objects), state.threads,
@@ -430,13 +506,7 @@ class _Search:
                     self._pop()
                     continue
                 self._scan_races(frame)
-                # Backtrack points are computed for the pending transition of
-                # every live thread, enabled or not: a blocked transition can
-                # still race with the step that blocked it, and its
-                # alternative ordering must be scheduled at that older frame.
-                for tid in self._update_candidates(frame):
-                    update_backtrack_sets(self.stack, self.trace, frame,
-                                          frame.pre_state.pending_of(tid), self.index)
+                self._add_backtrack_points(frame)
                 seed = None
                 for tid in frame.enabled:
                     if frame.pre_state.pending_of(tid).triple() not in frame.sleep:
@@ -475,17 +545,7 @@ class _Search:
         frame.done.add(tid)
         self._record_step_findings(outcome.findings)
 
-        # Clock vector of this step: max of the thread's previous clock and
-        # the clocks of all earlier dependent steps, then its own entry.  The
-        # thread's clock already covers the clocks of its own earlier steps.
-        clock = frame.thread_clocks.get(tid, EMPTY_CLOCK)
-        trace, step_clocks = self.trace, self.step_clocks
-        for positions in self.index.candidates(t):
-            for j in positions:
-                prior = trace[j]
-                if prior.executor != tid and dependent(prior, t):
-                    clock = clock.merged(step_clocks[j])
-        clock = clock.with_entry(tid, len(self.trace) + 1)
+        clock = self._step_clock(frame, t)
         child_clocks = dict(frame.thread_clocks)
         child_clocks[tid] = clock
         if t.kind == "create":

@@ -868,8 +868,9 @@ class BarrierWaitFinish(_ObjectOp):
 
 
 class _ThreadOp(Transition):
-    """A create or join.  The framework rule covers the thread it names, so
-    it claims no dependence of its own and is indexed under no key."""
+    """A create or join.  The framework rules cover the thread it names (in
+    dependence and co-enabledness alike), so it claims nothing of its own and
+    is indexed under no key."""
 
     __slots__ = ()
 
@@ -886,11 +887,6 @@ class _ThreadOp(Transition):
 
     def footprint(self):
         return ()
-
-    def coenabled_with(self, other):
-        # The target has no pending transition while this one is enabled: a
-        # child gets one when the create applies, and a join waits for exit.
-        return other.executor != self.thread_target
 
 
 @register

@@ -351,11 +351,13 @@ def initial_state(program: Program, session: RuntimeSession,
 
 def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelState,
                         ctx: BuildContext) -> Transition:
-    """The pending transition for a request a body surfaced; a body that
-    returned (`op` None) has its exit step pending."""
+    """The pending transition for a request a body surfaced, which keeps the
+    request; a body that returned (`op` None) has its exit step pending."""
     if op is None:
         return prim.ThreadExit(tid)
-    return build_transition(tid, op, state, ctx)
+    t = build_transition(tid, op, state, ctx)
+    t.request = op
+    return t
 
 
 def moved_bodies(t: Transition) -> tuple:

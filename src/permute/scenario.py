@@ -809,45 +809,68 @@ def eval_expr(expr, env: dict):
     return int(left >= right)
 
 
-def _run_block(stmts, env, kind_of):
+def _run_block(stmts, env, requests):
     for st in stmts:
-        yield from _run_stmt(st, env, kind_of)
+        yield from _run_stmt(st, env, requests)
 
 
-def _run_stmt(st, env, kind_of):
-    if isinstance(st, OpStmt):
-        kind = st.kind
-        if kind == "cond_wait":
-            yield ops.cond_wait(st.obj, st.mutex)
-        elif kind in ("rdlock", "rwunlock"):
-            yield getattr(ops, kind)(st.obj, object_kind=kind_of[st.obj])
-        else:
-            yield getattr(ops, kind)(st.obj)
+def _run_stmt(st, env, requests):
+    if isinstance(st, (OpStmt, AssertStmt)):
+        yield requests.get(id(st)) or requests.build(st)
     elif isinstance(st, Assign):
         env[st.target] = eval_expr(st.expr, env)
-    elif isinstance(st, ReadInto):
-        env[st.target] = yield ops.read(st.var)
-    elif isinstance(st, GetValueInto):
-        env[st.target] = yield ops.sem_getvalue(st.sem)
+    elif isinstance(st, (ReadInto, GetValueInto)):
+        env[st.target] = yield requests.get(id(st)) or requests.build(st)
     elif isinstance(st, WriteVar):
         yield ops.write(st.var, eval_expr(st.expr, env))
-    elif isinstance(st, AssertStmt):
-        expr = st.expr
-        text = print_expr(expr)
-        message = st.message if st.message is not None else f"assert({text})"
-        yield ops.assert_check(lambda shared, e=expr: eval_expr(e, shared) != 0,
-                               message, var_refs=_refs_of(expr), text=text)
     elif isinstance(st, IfStmt):
         if eval_expr(st.cond, env) != 0:
-            yield from _run_block(st.then, env, kind_of)
+            yield from _run_block(st.then, env, requests)
         elif st.orelse is not None:
-            yield from _run_block(st.orelse, env, kind_of)
+            yield from _run_block(st.orelse, env, requests)
     elif isinstance(st, WhileStmt):
         while eval_expr(st.cond, env) != 0:
-            yield from _run_block(st.body, env, kind_of)
+            yield from _run_block(st.body, env, requests)
     elif isinstance(st, RepeatStmt):
         for _ in range(st.count):
-            yield from _run_block(st.body, env, kind_of)
+            yield from _run_block(st.body, env, requests)
+
+
+class _FixedRequests(dict):
+    """By statement id, the request of each statement that yields the same
+    one on every execution: all but writes, whose value comes from the
+    thread's locals.  An assertion reads only the shared variables, so its
+    predicate, text and `var_refs` are fixed too.  Each request is built on
+    the statement's first execution and serves every later one, so a
+    re-driven statement surfaces the very request it surfaced before.
+    Building on first use rather than in `instantiate` keeps a one-trace
+    replay from paying for statements it never reaches."""
+
+    def __init__(self, kind_of: dict):
+        super().__init__()
+        self.kind_of = kind_of
+
+    def build(self, st):
+        """Build and keep the request of `st`, at its first execution."""
+        if isinstance(st, OpStmt):
+            if st.kind == "cond_wait":
+                req = ops.cond_wait(st.obj, st.mutex)
+            elif st.kind in ("rdlock", "rwunlock"):
+                req = getattr(ops, st.kind)(st.obj, object_kind=self.kind_of[st.obj])
+            else:
+                req = getattr(ops, st.kind)(st.obj)
+        elif isinstance(st, ReadInto):
+            req = ops.read(st.var)
+        elif isinstance(st, GetValueInto):
+            req = ops.sem_getvalue(st.sem)
+        else:
+            expr = st.expr
+            text = print_expr(expr)
+            message = st.message if st.message is not None else f"assert({text})"
+            req = ops.assert_check(lambda shared: eval_expr(expr, shared) != 0,
+                                   message, var_refs=_refs_of(expr), text=text)
+        self[id(st)] = req
+        return req
 
 
 def _refs_of(expr) -> tuple:
@@ -870,10 +893,12 @@ def instantiate(prog: ScenarioProgram) -> Program:
             for name in worker_names:
                 yield ops.join(name)
 
+    requests = _FixedRequests(kind_of)
+
     def make_body(stmts):
         def body():
             env: dict = {}
-            yield from _run_block(stmts, env, kind_of)
+            yield from _run_block(stmts, env, requests)
         return body
 
     threads = [("main", main_body)]

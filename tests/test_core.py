@@ -10,6 +10,7 @@ from permute.core import (
     ClockVector,
     ModelState,
     ThreadInfo,
+    Transition,
     coenabled,
     dependent,
     fingerprint,
@@ -84,6 +85,26 @@ def test_framework_create_join_rule():
     # The child cannot have a pending transition before it exists / after exit.
     assert not coenabled(create, childs_op)
     assert not coenabled(join, childs_op)
+
+
+def test_framework_rule_covers_user_defined_thread_ops():
+    # A user-defined transition that names a thread and keeps the default
+    # (conservative) claims: the framework, not the class, rules out its
+    # co-enabledness with the named thread's steps.
+    class Spawn(Transition):
+        kind = "spawn"
+        __slots__ = ()
+
+        def __init__(self, executor, target):
+            super().__init__(executor)
+            self.thread_target = target
+
+    spawn = Spawn(0, 2)
+    childs_op = prim.SemPost(2, 9, "s")
+    assert dependent(spawn, childs_op)
+    assert not coenabled(spawn, childs_op)
+    assert not coenabled(childs_op, spawn)
+    assert coenabled(spawn, prim.SemPost(1, 9, "s"))
 
 
 def test_spec_relation_examples():

@@ -21,8 +21,10 @@ from permute.engine import (
     select_next,
     update_backtrack_sets,
 )
-from permute.runtime import NondeterminismDetected, Program, ReplayCursor, ops
+from permute.runtime import NondeterminismDetected, ObjectDecl, Program, ReplayCursor, ops
 from permute.scenario import instantiate, parse_scenario
+
+from full_scan import use_full_scans
 
 
 def scenario(text):
@@ -240,6 +242,99 @@ def test_body_that_diverges_when_rebuilt_is_detected():
     program = Program([("main", main), ("a", flaky), ("b", steady)])
     with pytest.raises(NondeterminismDetected, match="thread 1"):
         explore(program)
+
+
+def _create_and_join(*names):
+    def main():
+        for name in names:
+            yield ops.create(name)
+        for name in names:
+            yield ops.join(name)
+    return main
+
+
+def _lock_unlock():
+    yield ops.lock("m")
+    yield ops.unlock("m")
+
+
+def test_rebuilt_body_writing_another_value_is_detected():
+    # Same kind, same variable, another value: the re-surfaced request is
+    # not the recorded one, and the step it builds differs in its payload.
+    builds = itertools.count()
+
+    def flaky():
+        yield ops.write("x", 1 if next(builds) == 0 else 2)
+        yield from _lock_unlock()
+
+    program = Program([("main", _create_and_join("a", "b")), ("a", flaky),
+                       ("b", _lock_unlock)], [ObjectDecl("x", "var", {"init": 0})])
+    with pytest.raises(NondeterminismDetected, match="thread 1 re-executed to .*write"):
+        explore(program)
+
+
+def test_fresh_assert_closure_per_build_is_not_a_divergence():
+    # Each build yields a new predicate object, so the re-surfaced request
+    # differs from the recorded one; the step it builds does not.
+    builds = itertools.count()
+
+    def checker(shared_predicate):
+        def body():
+            next(builds)
+            predicate = shared_predicate or (lambda shared: shared["x"] == 0)
+            yield ops.assert_check(predicate, "x is zero", var_refs=("x",))
+            yield from _lock_unlock()
+        return body
+
+    def program(shared_predicate=None):
+        return Program([("main", _create_and_join("a", "b")),
+                        ("a", checker(shared_predicate)), ("b", _lock_unlock)],
+                       [ObjectDecl("x", "var", {"init": 0})])
+
+    report = explore(program())
+    assert next(builds) >= 2   # the checker was re-driven
+    assert report == explore(program(lambda shared: shared["x"] == 0))
+    assert report.traces > 1 and not report.has_findings()
+
+
+# -- incremental analysis ----------------------------------------------------------------
+
+def _join_then_read():
+    # Main reads what a joined worker wrote: only the join's clock, merged
+    # from the worker's steps, orders the read after the write.
+    def main():
+        yield ops.create("w")
+        yield ops.create("v")
+        yield ops.join("w")
+        yield ops.read("x")
+        yield ops.join("v")
+
+    def writer():
+        yield ops.write("x", 1)
+
+    return Program([("main", main), ("w", writer), ("v", writer)],
+                   [ObjectDecl("x", "var", {"init": 0})])
+
+
+def test_incremental_scans_explore_like_full_scans(monkeypatch):
+    # The newest-step test for unmoved threads, the candidate lists without
+    # create/join relations, and the covered-clock skip must not change a
+    # single trace: compare with the textbook scans on the whole corpus.
+    programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
+                for name, path in list_scenarios()]
+    programs.append(("join_then_read", _join_then_read))
+    runs = []
+    for name, program in programs:
+        for kw in AUDIT_CONFIGS:
+            config = ExplorationConfig(max_depth_per_thread=4, **kw)
+            traces = []
+            report = explore(program(), config, observer=traces.append)
+            runs.append((name, kw, program, config, report, traces))
+    use_full_scans(monkeypatch)
+    for name, kw, program, config, report, traces in runs:
+        reference = []
+        assert explore(program(), config, observer=reference.append) == report, f"{name} {kw}"
+        assert reference == traces, f"{name} {kw}"
 
 
 # -- footprints ------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from permute.core import (
     fingerprint,
     register,
 )
-from permute.engine import ExplorationConfig, FootprintIndex, explore
+from permute.engine import ExplorationConfig, explore
 from permute.runtime import ObjectDecl, OpRequest, Program
+
+from full_scan import use_full_scans
 
 
 class GateObj(VisibleObject):
@@ -178,8 +180,7 @@ def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class)
         return report, traces
 
     indexed = explore_all()
-    monkeypatch.setattr(FootprintIndex, "candidates",
-                        lambda self, t: [range(len(self.lists_at))])
+    use_full_scans(monkeypatch)
     assert explore_all() == indexed
 
 

@@ -190,6 +190,24 @@ def test_straight_line_interpreter_matches_direct_evaluation():
     assert state.shared_vars == {"x": 100, "y": 3}
 
 
+def test_fixed_requests_are_built_once_per_statement():
+    # Every execution of a statement whose request does not depend on the
+    # thread's locals yields the one request built for it, and two
+    # assertions in a block keep their own predicates.
+    prog = instantiate(parse_scenario(
+        "var x = 0\nmutex m\n"
+        'thread t { lock m; if (1) { assert(x == 0); assert(x == 1, "second"); } '
+        "a = read x; write x a + 1; unlock m; }"))
+    runs = [prog.body_factory(1)() for _ in range(2)]
+    first, second = [[next(run) for _ in range(4)] for run in runs]
+    assert [req.kind for req in first] == ["lock", "assert", "assert", "read"]
+    assert all(a is b for a, b in zip(first, second))
+    writes = [run.send(0) for run in runs]
+    assert writes[0] == writes[1] and writes[0] is not writes[1]
+    report = explore(prog)
+    assert [message for _, message in report.assertion_failures] == ["second"]
+
+
 CORPUS_BUDGETS = {
     "producer_consumer_if": 6,
     "producer_consumer_while": 6,
