@@ -170,13 +170,26 @@ def load_trace(path: Path) -> TraceData:
     return TraceData(scenario, digest, config, steps, verdict, fp)
 
 
+# The program of the scenario last replayed, by (resolved path, sha256), so
+# that verifying many traces of one scenario parses it once.
+_last_program: dict = {}
+
+
 def _program_for(trace: TraceData):
+    """The program of the trace's scenario.  The file is read and hashed on
+    every call, so a scenario edited since the recording is refused."""
     text = trace.scenario_path.read_text(encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != trace.scenario_sha256:
         raise TraceFormatError(
             f"{trace.scenario_path} changed since the trace was recorded")
-    return instantiate(parse_scenario(text))
+    key = (trace.scenario_path.resolve(), digest)
+    program = _last_program.get(key)
+    if program is None:
+        program = instantiate(parse_scenario(text))
+        _last_program.clear()
+        _last_program[key] = program
+    return program
 
 
 def _cursor_for(trace: TraceData, program=None) -> ReplayCursor:

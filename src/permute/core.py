@@ -285,21 +285,28 @@ def happens_before(i: int, trace: list, thread_clocks: dict, t: Transition) -> b
 
 
 class ThreadInfo:
-    __slots__ = ("status", "pending", "executed")
+    """One thread's status, pending transition and executed-step count, and
+    `body_state`: the immutable state its compiled body resumes from (None
+    for a body that runs as a generator, or has not started).  Clones share
+    `body_state`, and fingerprints leave it out."""
+
+    __slots__ = ("status", "pending", "executed", "body_state")
 
     def __init__(self, status: str = EMBRYO, pending: Optional[Transition] = None,
-                 executed: int = 0):
+                 executed: int = 0, body_state=None):
         self.status = status
         self.pending = pending
         self.executed = executed
+        self.body_state = body_state
 
     def clone(self) -> "ThreadInfo":
-        return ThreadInfo(self.status, self.pending, self.executed)
+        return ThreadInfo(self.status, self.pending, self.executed, self.body_state)
 
 
 class ModelState:
     """The checker's mirror of the program: visible objects, per-thread
-    status and pending transition, shared variables, spurious-wakeup use.
+    status, pending transition and body state, shared variables,
+    spurious-wakeup use.
 
     Treated as an immutable snapshot by the engine; `apply_to` clones before
     mutating, so stored pre-states stay valid for backtracking.

@@ -23,13 +23,15 @@ The work per step follows what the step changed:
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
 
-Backtracking restores model state from the frame snapshots.  Thread bodies
-are generators and cannot be rewound, so only the bodies the popped steps
-resumed are moved back: each is restarted and re-driven through its own
-steps of the remaining prefix, with the results recorded in the snapshots,
-and every request it surfaces again must match the pending transition the
-snapshot holds (otherwise NondeterminismDetected).  A request equal to the
-one the pending transition was built from matches without a build.
+Backtracking restores model state from the frame snapshots.  A compiled
+body -- every scenario thread -- keeps its state in the snapshot too, so
+popping a frame is all it takes to move it back.  A host generator body
+cannot be rewound, so only the host bodies the popped steps resumed are
+moved back: each is restarted and re-driven through its own steps of the
+remaining prefix, with the results recorded in the snapshots, and every
+request it surfaces again must match the pending transition the snapshot
+holds (otherwise NondeterminismDetected).  A request equal to the one the
+pending transition was built from matches without a build.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .core import (
 )
 from .primitives import POLICIES
 from .runtime import (
+    BodyCrash,
     BuildContext,
     NondeterminismDetected,
     Program,
@@ -60,7 +63,6 @@ from .runtime import (
     execute_step,
     initial_state,
     moved_bodies,
-    resume_body,
     schedule_step,
     surfaced_transition,
 )
@@ -325,7 +327,7 @@ class _Search:
         self.trace: list = []
         self.step_clocks: list = []
         self.index = FootprintIndex()
-        self.moved: set = set()   # threads whose bodies are ahead of the trace
+        self.moved: set = set()   # host threads whose bodies are ahead of the trace
         self.race_seen: set = set()
         self.segment_findings: list = []
         self.stop = False
@@ -415,7 +417,8 @@ class _Search:
         """Backtrack points for the pending transition of every live thread,
         enabled or not: a blocked transition can still race with the step
         that blocked it, and its alternative ordering must be scheduled at
-        that older frame.  A thread the last step did not move is tested
+        that older frame.  End states, where every live thread is blocked,
+        are no exception.  A thread the last step did not move is tested
         against the newest step only (see `update_backtrack_sets`)."""
         stack, trace, index = self.stack, self.trace, self.index
         parent = stack[-2] if len(stack) > 1 else None
@@ -450,27 +453,32 @@ class _Search:
     # -- session repositioning -------------------------------------------
 
     def _redrive(self) -> None:
-        """Restart each moved body and drive it through its own steps of the
-        trace.  Findings were recorded when the steps first ran and are not
-        recorded again."""
-        session, stack, trace, index = self.session, self.stack, self.trace, self.index
+        """Restart each moved host body and drive it through its own steps
+        of the trace.  Findings were recorded when the steps first ran and
+        are not recorded again."""
+        stack, trace, index = self.stack, self.trace, self.index
         for tid in sorted(self.moved):
-            session.rewind(tid)
+            self.session.rewind(tid)
             if tid == 0:   # thread 0 is started by the search, not a create
-                self._check_surfaced(tid, -1, *resume_body(session, tid, True))
+                self._check_surfaced(tid, -1, None, None)
             # Its create (among the steps targeting it), then its own steps.
             for i in heapq.merge(index.targeting.get(tid, ()), index.executed.get(tid, ())):
                 t = trace[i]
-                for body, from_start in moved_bodies(t):
+                for body, after in moved_bodies(t):
                     if body == tid:
-                        result = None if from_start else t.result_in(stack[i].pre_state)
-                        self._check_surfaced(
-                            tid, i, *resume_body(session, tid, from_start, result))
+                        result = None if after is None else t.result_in(stack[i].pre_state)
+                        self._check_surfaced(tid, i, after, result)
         self.moved.clear()
 
-    def _check_surfaced(self, tid: ThreadId, i: int, op, crash) -> None:
-        """Compare what a re-driven body surfaced after step i (-1: at its
-        start) with the pending transition recorded in the snapshot."""
+    def _check_surfaced(self, tid: ThreadId, i: int, after, result) -> None:
+        """Resume host body `tid` past its step `after` (None: start it) and
+        compare what it surfaces with the pending transition recorded after
+        step i (-1: at its start)."""
+        try:
+            op, _ = self.session.resume(tid, None, after, result)
+            crash = None
+        except BodyCrash as exc:
+            op, crash = None, exc
         state = self.stack[i + 1].pre_state
         expected = state.threads[tid].pending
         if crash is None:
@@ -501,12 +509,12 @@ class _Search:
             if not frame.initialized:
                 frame.initialized = True
                 frame.enabled = frame.pre_state.enabled_threads(config.max_depth_per_thread)
+                self._add_backtrack_points(frame)
                 if not frame.enabled:
                     self._end_trace(frame.pre_state, classify_endstate(frame.pre_state, config))
                     self._pop()
                     continue
                 self._scan_races(frame)
-                self._add_backtrack_points(frame)
                 seed = None
                 for tid in frame.enabled:
                     if frame.pre_state.pending_of(tid).triple() not in frame.sleep:
@@ -536,7 +544,8 @@ class _Search:
         self.index.pop()
         if self.config.sleep_sets_enabled:
             self.stack[-1].sleep[executed.triple()] = executed
-        self.moved.update(body for body, _ in moved_bodies(executed))
+        self.moved.update(body for body, _ in moved_bodies(executed)
+                          if body in self.session.host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
         outcome = execute_step(self.session, frame.pre_state, tid, self.ctx)

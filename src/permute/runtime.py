@@ -1,20 +1,27 @@
 """Cooperative execution of program bodies as logical threads.
 
-A body is a deterministic generator: it yields a visible-operation request,
-the engine decides when to run it, and the request's result (for reads) is
-delivered when the generator resumes.  Between two yields a body may only do
-thread-local work.  Given the same sequence of delivered results a body must
-emit the same requests; that determinism contract is what lets the engine
-restart a body and re-drive it through its steps instead of forking the
-process, and it is checked on every re-drive and every replay.
+A body yields a visible-operation request, the engine decides when to run
+it, and the request's result (for reads) is delivered when the body
+resumes.  Between two requests a body may only do thread-local work.  A
+body comes in one of two forms:
 
-Wait-style requests (`sem_wait`, `cond_wait`, `lock` under a queued policy,
-read/write lock acquisition, `barrier_wait`) are split here into their
-enqueue and finish halves, by `primitives.WAIT_SPLITS`: the body yields one
-high-level request and the session surfaces the parts one scheduling step at
-a time.  Each surfaced request becomes a transition through the class
-registered for its kind (`core.register`), whose `build` names the objects
-it needs from the `BuildContext`.
+- Compiled code (`Program.codes`), as every scenario thread is: its whole
+  state is an immutable value kept in the thread's `ThreadInfo`, so every
+  model-state snapshot holds each thread's body state too, and a thread
+  resumes from any snapshot.
+- A host generator.  Given the same sequence of delivered results it must
+  emit the same requests; that determinism contract is what lets the engine
+  restart a generator and re-drive it through its steps instead of forking
+  the process, and it is checked on every re-drive and every replay.
+
+`RuntimeSession.resume` resumes both forms.  Wait-style requests
+(`sem_wait`, `cond_wait`, `lock` under a queued policy, read/write lock
+acquisition, `barrier_wait`) are split there into their enqueue and finish
+halves, by `primitives.WAIT_SPLITS`: the body yields one high-level request
+and the session surfaces the parts one scheduling step at a time.  Each
+surfaced request becomes a transition through the class registered for its
+kind (`core.register`), whose `build` names the objects it needs from the
+`BuildContext`.
 """
 
 from __future__ import annotations
@@ -139,11 +146,20 @@ class Program:
     Thread ids follow list order; thread 0 starts runnable, the rest run
     only after a create names them.  Rebuilding bodies from the factories
     must produce identical behaviour -- the determinism contract.
+
+    `codes`, when given, holds per thread either None, for a thread that
+    runs as its generator body, or its compiled code: an object whose
+    `start()` and `resume(state, result)` return the thread's next request
+    (None once it returned) and the immutable state to resume it from.
     """
 
-    def __init__(self, threads: list, declarations: list = ()):  # type: ignore[assignment]
+    def __init__(self, threads: list, declarations: list = (),  # type: ignore[assignment]
+                 codes: list = ()):  # type: ignore[assignment]
         self.threads = list(threads)
         self.declarations = list(declarations)
+        self.codes = list(codes) or [None] * len(self.threads)
+        if len(self.codes) != len(self.threads):
+            raise ProgramError(f"{len(self.codes)} codes for {len(self.threads)} threads")
         self.tid_of = {}
         for tid, (name, _body) in enumerate(self.threads):
             if name in self.tid_of:
@@ -240,64 +256,84 @@ class BuildContext:
 # ---------------------------------------------------------------------------
 
 
-class _ThreadRun:
-    __slots__ = ("gen", "parts", "started")
-
-    def __init__(self):
-        self.gen = None
-        self.parts: list = []
-        self.started = False
-
-
 class RuntimeSession:
-    """Owns the live generators of one execution attempt.
+    """Resumes the bodies of one execution attempt.
 
-    At most one body runs between a grant and its next yield; the engine
-    drives that by calling `advance` only for the thread it just executed.
+    A compiled thread resumes from the body state its snapshot holds, so
+    the session keeps nothing for it.  A host thread is a live generator,
+    owned here, that cannot be rewound: it starts once, and again only
+    after `rewind`.  The split halves of each wait request are built once
+    per session, so every execution of a wait surfaces the same objects.
     """
 
     def __init__(self, program: Program, ctx: BuildContext):
         self.program = program
         self.ctx = ctx
-        self.runs = {tid: _ThreadRun() for tid in range(len(program.threads))}
+        self.host_threads = frozenset(
+            tid for tid, code in enumerate(program.codes) if code is None)
+        self._generators: dict = {}
+        self._first_half: dict = {}    # wait request -> the part surfaced first
+        self._finish_half: dict = {}   # enqueue half -> its finish half
+        self._finish_kinds = dict(prim.WAIT_SPLITS.values())
 
-    def start(self) -> Optional[OpRequest]:
-        return self.spawn(0)
-
-    def spawn(self, tid: ThreadId) -> Optional[OpRequest]:
-        run = self.runs[tid]
-        if run.started:
-            raise ProgramError(f"thread {tid} spawned twice")
-        run.started = True
-        run.gen = self.program.body_factory(tid)()
-        return self._advance_gen(tid, run, first=True)
-
-    def advance(self, tid: ThreadId, result=None) -> Optional[OpRequest]:
-        run = self.runs[tid]
-        if run.parts:
-            return run.parts.pop(0)
-        return self._advance_gen(tid, run, result=result)
-
-    def rewind(self, tid: ThreadId) -> None:
-        """Drop a thread's body so that the next `spawn` starts it afresh."""
-        self.runs[tid] = _ThreadRun()
-
-    def _advance_gen(self, tid, run, result=None, first=False):
+    def resume(self, tid: ThreadId, state=None, after: Optional[Transition] = None,
+               result=None) -> tuple:
+        """Thread `tid`'s next request and the body state it surfaced in: its
+        first when `after` is None, else the one after its step `after`,
+        which returned `result`, resumed from body state `state`.  The
+        request is None once the body returned.  An enqueue half is followed
+        by its finish half without resuming the body.  A body that raises
+        raises BodyCrash."""
+        if after is not None:
+            finish = self._finish_of(after.request)
+            if finish is not None:
+                return finish, state
+        code = self.program.codes[tid]
+        if code is None:
+            if after is None:
+                if tid in self._generators:
+                    raise ProgramError(f"thread {tid} spawned twice")
+                self._generators[tid] = self.program.body_factory(tid)()
+            gen = self._generators[tid]
         try:
-            req = next(run.gen) if first else run.gen.send(result)
+            if code is not None:
+                req, state = code.start() if after is None else code.resume(state, result)
+            else:
+                req = next(gen) if after is None else gen.send(result)
         except StopIteration:
-            return None
+            return None, state
         except Exception as exc:  # body fault: the crash-finding path
             raise BodyCrash(tid, exc) from exc
-        parts = prim.WAIT_SPLITS.get(req.kind)
-        if parts is None:
+        return self._surfaced(req), state
+
+    def rewind(self, tid: ThreadId) -> None:
+        """Drop a host thread's generator so that it can start afresh."""
+        self._generators.pop(tid, None)
+
+    def _surfaced(self, req: Optional[OpRequest]) -> Optional[OpRequest]:
+        """The enqueue half of a wait request that the context's policy
+        splits, otherwise the request itself."""
+        if req is None or req.kind not in prim.WAIT_SPLITS:
             return req
-        fused_kind = prim.FUSED_WAITS.get(req.kind)
-        if (fused_kind is not None
-                and self.ctx.policy_for(fused_kind, req.object_name) == prim.ARB_FUSED):
-            return req
-        run.parts = [replace(req, kind=parts[1])]
-        return replace(req, kind=parts[0])
+        first = self._first_half.get(req)
+        if first is None:
+            first = req
+            fused_kind = prim.FUSED_WAITS.get(req.kind)
+            if (fused_kind is None
+                    or self.ctx.policy_for(fused_kind, req.object_name) != prim.ARB_FUSED):
+                first = replace(req, kind=prim.WAIT_SPLITS[req.kind][0])
+            self._first_half[req] = first
+        return first
+
+    def _finish_of(self, req: Optional[OpRequest]) -> Optional[OpRequest]:
+        """The finish half that follows `req`, if it is an enqueue half."""
+        kind = self._finish_kinds.get(req.kind) if req is not None else None
+        if kind is None:
+            return None
+        finish = self._finish_half.get(req)
+        if finish is None:
+            finish = self._finish_half[req] = replace(req, kind=kind)
+        return finish
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +380,9 @@ def initial_state(program: Program, session: RuntimeSession,
     for decl in program.declarations:
         if decl.kind == "var":
             state.shared_vars[decl.name] = decl.attrs.get("init", 0)
-    op = session.start()
-    state.threads[0].pending = surfaced_transition(0, op, state, ctx)
+    main = state.threads[0]
+    op, main.body_state = session.resume(0)
+    main.pending = surfaced_transition(0, op, state, ctx)
     return state
 
 
@@ -361,33 +398,23 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
 
 
 def moved_bodies(t: Transition) -> tuple:
-    """The bodies a granted transition resumes, in order, as (thread, from
-    start) pairs: the executor past the step (an exit resumes nothing), then
-    the child a create starts."""
+    """The bodies a granted transition resumes, in order, as (thread, step)
+    pairs, the step being what to resume the thread past (None: start it):
+    the executor past `t` (an exit resumes nothing), then the child a create
+    starts."""
     kind = t.kind
     if kind == "exit":
         return ()
     if kind == "create":
-        return ((t.executor, False), (t.thread_target, True))
-    return ((t.executor, False),)
-
-
-def resume_body(session: RuntimeSession, tid: ThreadId, from_start: bool, result=None):
-    """Drive one body to its next request: spawn it, or deliver `result` of
-    its last step.  Returns (request, None), the request being None when the
-    body returned, or (None, BodyCrash) when the body raised."""
-    try:
-        op = session.spawn(tid) if from_start else session.advance(tid, result)
-    except BodyCrash as crash:
-        return None, crash
-    return op, None
+        return ((t.executor, t), (t.thread_target, None))
+    return ((t.executor, t),)
 
 
 def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
                  ctx: BuildContext) -> StepOutcome:
     """Run one granted transition: apply it to the model, resume the bodies
     it moves to their next visible operation, and install their new pending
-    transitions."""
+    transitions and body states."""
     t = state.threads[tid].pending
     if t is None:
         raise ProgramError(f"thread {tid} has no pending transition")
@@ -403,15 +430,16 @@ def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
     new_state = t.apply_to(state)
     if t.kind != "exit":
         new_state.threads[tid].executed += 1
-    for body, from_start in moved_bodies(t):
-        op, crash = resume_body(session, body, from_start, result)
+    for body, after in moved_bodies(t):
         info = new_state.threads[body]
-        if crash is None:
-            info.pending = surfaced_transition(body, op, new_state, ctx)
-        else:
+        try:
+            op, info.body_state = session.resume(body, info.body_state, after, result)
+        except BodyCrash as crash:
             findings.append(Finding("crash", str(crash)))
             info.status = EXITED
             info.pending = None
+        else:
+            info.pending = surfaced_transition(body, op, new_state, ctx)
 
     return StepOutcome(new_state, t, findings)
 

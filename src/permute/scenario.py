@@ -9,6 +9,14 @@ everything between two visible operations stays invisible to the scheduler.
 An implicit main thread creates every declared thread in declaration order
 and then joins them (unless `option nojoin`).
 
+`instantiate` compiles each thread, main included, to a `ThreadCode`: a
+flat instruction list run by an interpreter whose whole state is one
+immutable value (program counter, locals, `repeat` counters).  The runtime
+keeps that value in the model-state snapshots, so the search restores
+scenario threads with the snapshots and never re-executes them.  A thread
+that runs more than `MAX_LOCAL_STEPS` local instructions without a visible
+operation ends with a livelock crash.
+
 Grammar sketch::
 
     program   := (decl | option | thread)*
@@ -36,6 +44,7 @@ nonzero as true.  Blocks, parentheses and operators may nest at most
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -259,7 +268,7 @@ _SIMPLE_OPS = ("lock", "unlock", "sem_wait", "sem_post", "cond_signal",
                "rwunlock", "barrier_wait")
 
 
-# Parsing, validating, printing and evaluating all recurse on nesting, so a
+# Parsing, validating, printing and compiling all recurse on nesting, so a
 # scenario's blocks, parentheses and operators may nest this deep at most.
 MAX_NESTING = 64
 
@@ -769,108 +778,217 @@ def print_scenario(prog: ScenarioProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Interpretation
+# Compilation and interpretation
 # ---------------------------------------------------------------------------
+
+# How many local instructions (assignments, condition tests, jumps) a thread
+# may run between two visible operations.  One more ends the thread with a
+# livelock crash, so a body that spins without a visible operation cannot
+# hang a check.
+MAX_LOCAL_STEPS = 100_000
+
+_UNBOUND = object()   # the value of a local not assigned yet
+
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b), ">=": lambda a, b: int(a >= b),
+}
+
+
+def _compile_expr(expr, key):
+    """A function of an environment that evaluates `expr`.  A name reads
+    `env[key(name)]`, so an environment may be a dict of names or a
+    thread's slot list."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Name):
+        name, k = expr.name, key(expr.name)
+
+        def load(env):
+            try:
+                value = env[k]
+            except KeyError:
+                value = _UNBOUND
+            if value is _UNBOUND:
+                raise ScenarioRuntimeError(f"unbound name {name!r}")
+            return value
+        return load
+    if isinstance(expr, Unary):
+        operand = _compile_expr(expr.operand, key)
+        if expr.op == "-":
+            return lambda env: -operand(env)
+        return lambda env: int(operand(env) == 0)
+    left, right = _compile_expr(expr.left, key), _compile_expr(expr.right, key)
+    if expr.op == "&&":
+        return lambda env: int(left(env) != 0 and right(env) != 0)
+    if expr.op == "||":
+        return lambda env: int(left(env) != 0 or right(env) != 0)
+    fn = _BINARY[expr.op]
+    return lambda env: fn(left(env), right(env))
 
 
 def eval_expr(expr, env: dict):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ScenarioRuntimeError(f"unbound name {expr.name!r}") from None
-    if isinstance(expr, Unary):
-        value = eval_expr(expr.operand, env)
-        return -value if expr.op == "-" else int(value == 0)
-    left = eval_expr(expr.left, env)
-    if expr.op == "&&":
-        return int(left != 0 and eval_expr(expr.right, env) != 0)
-    if expr.op == "||":
-        return int(left != 0 or eval_expr(expr.right, env) != 0)
-    right = eval_expr(expr.right, env)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "==":
-        return int(left == right)
-    if expr.op == "!=":
-        return int(left != right)
-    if expr.op == "<":
-        return int(left < right)
-    if expr.op == "<=":
-        return int(left <= right)
-    if expr.op == ">":
-        return int(left > right)
-    return int(left >= right)
+    """The value of `expr` over `env`, a dict of names."""
+    return _compile_expr(expr, lambda name: name)(env)
 
 
-def _run_block(stmts, env, requests):
-    for st in stmts:
-        yield from _run_stmt(st, env, requests)
+# Instructions are (opcode, a, b) triples:
+#   _YIELD   surface request a and, on resume, store its result in slot b
+#            (0: drop it); a request of None ends the thread
+#   _WRITE   surface a write to variable a of the value of expression b
+#   _SET     slot a = the value of expression b
+#   _BRANCH  go on if expression b is nonzero, else jump to a
+#   _JUMP    jump to a
+_YIELD, _WRITE, _SET, _BRANCH, _JUMP = range(5)
+_END = (_YIELD, None, 0)
 
 
-def _run_stmt(st, env, requests):
-    if isinstance(st, (OpStmt, AssertStmt)):
-        yield requests.get(id(st)) or requests.build(st)
-    elif isinstance(st, Assign):
-        env[st.target] = eval_expr(st.expr, env)
-    elif isinstance(st, (ReadInto, GetValueInto)):
-        env[st.target] = yield requests.get(id(st)) or requests.build(st)
-    elif isinstance(st, WriteVar):
-        yield ops.write(st.var, eval_expr(st.expr, env))
-    elif isinstance(st, IfStmt):
-        if eval_expr(st.cond, env) != 0:
-            yield from _run_block(st.then, env, requests)
-        elif st.orelse is not None:
-            yield from _run_block(st.orelse, env, requests)
-    elif isinstance(st, WhileStmt):
-        while eval_expr(st.cond, env) != 0:
-            yield from _run_block(st.body, env, requests)
-    elif isinstance(st, RepeatStmt):
-        for _ in range(st.count):
-            yield from _run_block(st.body, env, requests)
+class ThreadCode:
+    """One thread compiled to a flat instruction list.
+
+    The interpreter's whole state is one immutable value: a tuple of the
+    program counter, at the instruction that surfaced the pending request,
+    and the thread's slots, its locals and `repeat` counters.  The runtime
+    keeps that value in the thread's `ThreadInfo`, so a thread resumes from
+    any snapshot without being replayed.
+    """
+
+    __slots__ = ("name", "code", "slots")
+
+    def __init__(self, name: str, code: list, slots: int):
+        self.name = name
+        self.code = code
+        self.slots = slots
+
+    def start(self) -> tuple:
+        """The thread's first request (None: it returned at once) and its
+        state there."""
+        return self._run([0] + [_UNBOUND] * self.slots, 0)
+
+    def resume(self, state: tuple, result=None) -> tuple:
+        """The next request after the one pending in `state`, which returned
+        `result`, and the state there."""
+        env = list(state)
+        pc = env[0]
+        op, _, target = self.code[pc]
+        if op == _YIELD and target:
+            env[target] = result
+        return self._run(env, pc + 1)
+
+    def body(self):
+        """The thread as a generator body, for the host API."""
+        request, state = self.start()
+        while request is not None:
+            request, state = self.resume(state, (yield request))
+
+    def _run(self, env: list, pc: int) -> tuple:
+        code, budget = self.code, MAX_LOCAL_STEPS
+        while True:
+            op, a, b = code[pc]
+            if op == _YIELD:
+                env[0] = pc
+                return a, tuple(env)
+            if op == _WRITE:
+                env[0] = pc
+                return ops.write(a, b(env)), tuple(env)
+            if not budget:
+                raise ScenarioRuntimeError(
+                    f"livelock: thread {self.name} ran {MAX_LOCAL_STEPS} local "
+                    "steps without a visible operation")
+            budget -= 1
+            if op == _SET:
+                env[a] = b(env)
+                pc += 1
+            elif op == _BRANCH:
+                pc = pc + 1 if b(env) else a
+            else:
+                pc = a
 
 
-class _FixedRequests(dict):
-    """By statement id, the request of each statement that yields the same
-    one on every execution: all but writes, whose value comes from the
-    thread's locals.  An assertion reads only the shared variables, so its
-    predicate, text and `var_refs` are fixed too.  Each request is built on
-    the statement's first execution and serves every later one, so a
-    re-driven statement surfaces the very request it surfaced before.
-    Building on first use rather than in `instantiate` keeps a one-trace
-    replay from paying for statements it never reaches."""
+class _Compiler:
+    """Compiles one thread's statements to `ThreadCode`.  Every request that
+    does not depend on the thread's locals -- all but writes -- is built
+    here, once, so each execution of a statement surfaces the very same
+    request object."""
 
     def __init__(self, kind_of: dict):
-        super().__init__()
         self.kind_of = kind_of
+        self.code: list = []
+        self.slot_of: dict = {}
 
-    def build(self, st):
-        """Build and keep the request of `st`, at its first execution."""
-        if isinstance(st, OpStmt):
-            if st.kind == "cond_wait":
-                req = ops.cond_wait(st.obj, st.mutex)
-            elif st.kind in ("rdlock", "rwunlock"):
-                req = getattr(ops, st.kind)(st.obj, object_kind=self.kind_of[st.obj])
-            else:
-                req = getattr(ops, st.kind)(st.obj)
+    def thread(self, name: str, stmts: list) -> ThreadCode:
+        self.code, self.slot_of = [], {}
+        self.block(stmts)
+        self.code.append(_END)
+        return ThreadCode(name, self.code, len(self.slot_of))
+
+    def slot(self, key) -> int:
+        """The slot of local `key`; slot 0 holds the program counter."""
+        return self.slot_of.setdefault(key, len(self.slot_of) + 1)
+
+    def emit(self, op: int, a=None, b=0) -> int:
+        self.code.append((op, a, b))
+        return len(self.code) - 1
+
+    def land(self, jump: int) -> None:
+        """Point the jump at index `jump` to the next instruction emitted."""
+        op, _, b = self.code[jump]
+        self.code[jump] = (op, len(self.code), b)
+
+    def block(self, stmts: list) -> None:
+        for st in stmts:
+            self.stmt(st)
+
+    def stmt(self, st) -> None:
+        if isinstance(st, (OpStmt, AssertStmt)):
+            self.emit(_YIELD, self.request(st))
         elif isinstance(st, ReadInto):
-            req = ops.read(st.var)
+            self.emit(_YIELD, ops.read(st.var), self.slot(st.target))
         elif isinstance(st, GetValueInto):
-            req = ops.sem_getvalue(st.sem)
-        else:
-            expr = st.expr
-            text = print_expr(expr)
+            self.emit(_YIELD, ops.sem_getvalue(st.sem), self.slot(st.target))
+        elif isinstance(st, WriteVar):
+            self.emit(_WRITE, st.var, _compile_expr(st.expr, self.slot))
+        elif isinstance(st, Assign):
+            self.emit(_SET, self.slot(st.target), _compile_expr(st.expr, self.slot))
+        elif isinstance(st, IfStmt):
+            branch = self.emit(_BRANCH, None, _compile_expr(st.cond, self.slot))
+            self.block(st.then)
+            if st.orelse is None:
+                self.land(branch)
+            else:
+                skip = self.emit(_JUMP)
+                self.land(branch)
+                self.block(st.orelse)
+                self.land(skip)
+        elif isinstance(st, WhileStmt):
+            top = self.emit(_BRANCH, None, _compile_expr(st.cond, self.slot))
+            self.block(st.body)
+            self.emit(_JUMP, top)
+            self.land(top)
+        elif isinstance(st, RepeatStmt):
+            counter, count = self.slot(object()), st.count
+            self.emit(_SET, counter, lambda env: count)
+            top = self.emit(_BRANCH, None, lambda env: env[counter])
+            self.emit(_SET, counter, lambda env: env[counter] - 1)
+            self.block(st.body)
+            self.emit(_JUMP, top)
+            self.land(top)
+
+    def request(self, st):
+        if isinstance(st, AssertStmt):
+            holds = _compile_expr(st.expr, lambda name: name)
+            text = print_expr(st.expr)
             message = st.message if st.message is not None else f"assert({text})"
-            req = ops.assert_check(lambda shared: eval_expr(expr, shared) != 0,
-                                   message, var_refs=_refs_of(expr), text=text)
-        self[id(st)] = req
-        return req
+            return ops.assert_check(lambda shared: holds(shared) != 0, message,
+                                    var_refs=_refs_of(st.expr), text=text)
+        if st.kind == "cond_wait":
+            return ops.cond_wait(st.obj, st.mutex)
+        if st.kind in ("rdlock", "rwunlock"):
+            return getattr(ops, st.kind)(st.obj, object_kind=self.kind_of[st.obj])
+        return getattr(ops, st.kind)(st.obj)
 
 
 def _refs_of(expr) -> tuple:
@@ -880,28 +998,15 @@ def _refs_of(expr) -> tuple:
 
 
 def instantiate(prog: ScenarioProgram) -> Program:
-    """Produce the runnable program: interpreter bodies for each thread plus
-    the implicit main that creates (and normally joins) all of them."""
-    kind_of = {d.name: d.kind for d in prog.declarations}
-    worker_names = [t.name for t in prog.threads]
-    join_workers = not prog.options.get("nojoin", False)
-
-    def main_body():
-        for name in worker_names:
-            yield ops.create(name)
-        if join_workers:
-            for name in worker_names:
-                yield ops.join(name)
-
-    requests = _FixedRequests(kind_of)
-
-    def make_body(stmts):
-        def body():
-            env: dict = {}
-            yield from _run_block(stmts, env, requests)
-        return body
-
-    threads = [("main", main_body)]
-    threads.extend((t.name, make_body(t.body)) for t in prog.threads)
+    """Produce the runnable program: each thread, and the implicit main that
+    creates (and normally joins) all of them, compiled to `ThreadCode`.  A
+    thread's body factory runs the same code as a generator."""
+    workers = [t.name for t in prog.threads]
+    main = [ops.create(name) for name in workers]
+    if not prog.options.get("nojoin", False):
+        main += [ops.join(name) for name in workers]
+    compiler = _Compiler({d.name: d.kind for d in prog.declarations})
+    codes = [ThreadCode("main", [(_YIELD, req, 0) for req in main] + [_END], 0)]
+    codes += [compiler.thread(t.name, t.body) for t in prog.threads]
     declarations = [ObjectDecl(d.name, d.kind, dict(d.attrs)) for d in prog.declarations]
-    return Program(threads, declarations)
+    return Program([(code.name, code.body) for code in codes], declarations, codes)

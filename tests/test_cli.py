@@ -5,9 +5,11 @@ import re
 
 import pytest
 
+from permute import cli as cli_module
 from permute.cli import (
     REPORT_KEYS,
     ReplayRepl,
+    TraceFormatError,
     TraceStore,
     load_trace,
     main,
@@ -120,6 +122,37 @@ def test_trace_file_round_trip(tmp_path, capsys):
     assert trace.verdict in ("completed", "deadlock")
     assert re.fullmatch(r"[0-9a-f]{64}", trace.fingerprint)
     assert verify_trace(path) == trace.fingerprint
+
+
+def _scenario_copy(tmp_path, name="small_cond_signal"):
+    path = tmp_path / f"{name}.scn"
+    path.write_text(corpus_path(name).read_text())
+    return path
+
+
+def test_verifies_of_one_scenario_parse_it_once(tmp_path, capsys, monkeypatch):
+    scenario = _scenario_copy(tmp_path)
+    run_cli(capsys, "check", str(scenario), "--trace-dir", str(tmp_path / "traces"),
+            "--keep-all-traces")
+    first, second = sorted((tmp_path / "traces").glob("trace-*.txt"))[:2]
+    parses = []
+    parse = cli_module.parse_scenario
+    monkeypatch.setattr(cli_module, "parse_scenario",
+                        lambda text: parses.append(text) or parse(text))
+    assert verify_trace(first) == load_trace(first).fingerprint
+    assert verify_trace(second) == load_trace(second).fingerprint
+    assert len(parses) == 1
+
+
+def test_verify_refuses_a_scenario_edited_after_a_verify(tmp_path, capsys):
+    scenario = _scenario_copy(tmp_path)
+    run_cli(capsys, "check", str(scenario), "--trace-dir", str(tmp_path / "traces"),
+            "--keep-all-traces")
+    path = sorted((tmp_path / "traces").glob("trace-*.txt"))[0]
+    verify_trace(path)
+    scenario.write_text(scenario.read_text() + "# edited\n")
+    with pytest.raises(TraceFormatError, match="changed since the trace was recorded"):
+        verify_trace(path)
 
 
 def _repl_for(tmp_path, capsys, scenario="philosophers_mut_deadlock_2", index=None):

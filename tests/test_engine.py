@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from permute.core import EMPTY_CLOCK, RUNNABLE, ClockVector, ModelState, ThreadInfo, dependent
+from permute import engine
 from permute import primitives as prim
 from permute.corpus import list_scenarios
 from permute.engine import (
@@ -25,6 +26,7 @@ from permute.runtime import NondeterminismDetected, ObjectDecl, Program, ReplayC
 from permute.scenario import instantiate, parse_scenario
 
 from full_scan import use_full_scans
+from oracle import brute_force
 
 
 def scenario(text):
@@ -170,6 +172,30 @@ def test_deadlock_detection_and_first_deadlock_stop():
     stopped = explore(scenario(text), ExplorationConfig(stop_at_first_deadlock=True))
     assert stopped.deadlocks == 1
     assert stopped.traces <= full.traces
+
+
+def _end_states(program, config):
+    """(deadlock, final) fingerprint sets of the search, then of the oracle."""
+    traces = []
+    explore(program, config, observer=traces.append)
+    ends = [tr for tr in traces if tr.verdict != BLOCKED]
+    deadlocks = {tr.fingerprint for tr in ends if tr.verdict == DEADLOCK}
+    oracle = brute_force(program, config)
+    return ((deadlocks, {tr.fingerprint for tr in ends}),
+            (oracle.deadlock_fps, oracle.final_fps))
+
+
+def test_races_of_blocked_threads_in_end_states_are_backtracked():
+    # The race between the two first locks shows only in the end state,
+    # where every thread is blocked: t0 waits on the mutex it holds.  Cut
+    # by the budget, producer_consumer_if ends with blocked threads whose
+    # races also show only there.
+    self_deadlock = scenario("mutex m\nthread t0 { lock m; lock m; }\nthread t1 { lock m; }\n")
+    search, oracle = _end_states(self_deadlock, ExplorationConfig())
+    assert search == oracle and len(oracle[0]) == 2
+    text = open("src/permute/corpus/producer_consumer_if.scn").read()
+    search, oracle = _end_states(scenario(text), ExplorationConfig(max_depth_per_thread=6))
+    assert search == oracle and len(oracle[1]) == 4
 
 
 def test_budget_limits_thread_appearances():
@@ -335,6 +361,39 @@ def test_incremental_scans_explore_like_full_scans(monkeypatch):
         reference = []
         assert explore(program(), config, observer=reference.append) == report, f"{name} {kw}"
         assert reference == traces, f"{name} {kw}"
+
+
+# -- compiled bodies -------------------------------------------------------------------
+
+def test_generator_bodies_explore_like_compiled_ones(monkeypatch):
+    # Scenario threads resume from their snapshots; run as host generators
+    # over the same code, they are re-driven on every backtrack instead.  The
+    # two paths must find the same traces and reports.
+    redrives = []
+    redrive = engine._Search._redrive
+    monkeypatch.setattr(engine._Search, "_redrive",
+                        lambda search: redrives.append(1) or redrive(search))
+    for name, path in list_scenarios():
+        compiled = instantiate(parse_scenario(path.read_text()))
+        hosted = Program(compiled.threads, compiled.declarations)
+        for kw in AUDIT_CONFIGS:
+            config = ExplorationConfig(max_depth_per_thread=4, **kw)
+            runs = []
+            for program in (compiled, hosted):
+                traces = []
+                runs.append((explore(program, config, observer=traces.append), traces))
+            assert runs[0] == runs[1], f"{name} {kw}"
+    assert redrives
+
+
+def test_scenario_threads_are_never_redriven(monkeypatch):
+    def refuse(search):
+        raise AssertionError("a scenario thread was re-driven")
+
+    monkeypatch.setattr(engine._Search, "_redrive", refuse)
+    for name, path in list_scenarios():
+        explore(instantiate(parse_scenario(path.read_text())),
+                ExplorationConfig(max_depth_per_thread=4))
 
 
 # -- footprints ------------------------------------------------------------------------

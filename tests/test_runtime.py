@@ -196,6 +196,31 @@ def test_replayed_prefix_assigns_identical_object_ids():
     assert a.ctx.registry._ids == b.ctx.registry._ids
 
 
+def test_split_wait_halves_are_built_once_per_request():
+    # Both executions of one cond_wait surface the very same enqueue and
+    # finish halves: for compiled code, whose request is one object, and for
+    # a generator that builds an equal request each time.
+    def waiter():
+        for _ in range(2):
+            yield ops.lock("m")
+            yield ops.cond_wait("c", "m")
+            yield ops.unlock("m")
+
+    text = "mutex m\ncond c\nthread t { repeat 2 { lock m; cond_wait c m; unlock m; } }"
+    decls = [ObjectDecl("m", "mutex", {}), ObjectDecl("c", "cond", {})]
+    for prog in (instantiate(parse_scenario(text)), program_of(waiter, declarations=decls)):
+        session, state, ctx = bootstrap(prog, max_spurious_wakeups=2)
+        state = execute_step(session, state, 0, ctx).state   # create
+        surfaced = {}
+        while state.threads[1].pending.kind != "exit":
+            request = state.threads[1].pending.request
+            surfaced.setdefault(request.kind, []).append(request)
+            state = execute_step(session, state, 1, ctx).state
+        for kind in ("cond_enqueue", "cond_wake"):
+            first, second = surfaced[kind]
+            assert first is second, kind
+
+
 def test_spawning_twice_is_rejected():
     def body():
         yield ops.sem_post("s")
@@ -203,7 +228,7 @@ def test_spawning_twice_is_rejected():
     prog = program_of(body, declarations=[ObjectDecl("s", "sem", {})])
     ctx = BuildContext(prog)
     session = RuntimeSession(prog, ctx)
-    session.start()
-    session.spawn(1)
+    session.resume(0)
+    session.resume(1)
     with pytest.raises(ProgramError):
-        session.spawn(1)
+        session.resume(1)

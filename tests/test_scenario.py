@@ -208,6 +208,15 @@ def test_fixed_requests_are_built_once_per_statement():
     assert [message for _, message in report.assertion_failures] == ["second"]
 
 
+def test_spinning_thread_ends_in_one_livelock_crash(tmp_path, capsys):
+    path = tmp_path / "spin.scn"
+    path.write_text("thread t { n = 0; while (1) { n = n + 1; } }\n")
+    assert main(["check", str(path), "--trace-dir", str(tmp_path)]) == 1
+    crashes = [line for line in capsys.readouterr().out.splitlines() if "crash:" in line]
+    assert len(crashes) == 1
+    assert "livelock: thread t ran" in crashes[0]
+
+
 CORPUS_BUDGETS = {
     "producer_consumer_if": 6,
     "producer_consumer_while": 6,
