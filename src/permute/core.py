@@ -38,12 +38,23 @@ class VisibleObject:
     """State mirror of one synchronization object (mutex, semaphore, ...).
 
     Created once, on first encounter of an operation naming it, and carried
-    through every snapshot from then on.  Subclasses hold the kind-specific
-    fields and must implement `clone` and `snapshot`.
+    through every snapshot from then on; a step that writes it works on the
+    copy `clone` makes.  Subclasses hold the kind-specific fields in slots
+    and must implement `snapshot`.
     """
 
     kind = "object"
     __slots__ = ("oid", "name")
+    _copied_slots = __slots__   # every slot along the MRO, set per subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = []
+        for klass in reversed(cls.__mro__):
+            declared = klass.__dict__.get("__slots__", ())
+            slots.extend((declared,) if isinstance(declared, str) else declared)
+        cls._copied_slots = tuple(name for name in slots
+                                  if name not in ("__dict__", "__weakref__"))
 
     def __init__(self, oid: ObjectId, name: str):
         self.oid = oid
@@ -57,11 +68,25 @@ class VisibleObject:
         return cls(oid, name)
 
     def clone(self) -> "VisibleObject":
-        raise NotImplementedError
+        """A copy that a step may write without touching this object: every
+        slot along the class hierarchy (and any instance dict), with list,
+        set and dict values copied one level deep."""
+        cls = type(self)
+        copy = cls.__new__(cls)
+        for name in cls._copied_slots:
+            value = getattr(self, name)
+            setattr(copy, name, value.copy() if type(value) in _CONTAINERS else value)
+        if hasattr(self, "__dict__"):
+            copy.__dict__.update({name: value.copy() if type(value) in _CONTAINERS else value
+                                  for name, value in self.__dict__.items()})
+        return copy
 
     def snapshot(self) -> tuple:
         """Canonical, order-stable summary of the object state."""
         raise NotImplementedError
+
+
+_CONTAINERS = (list, set, dict)
 
 
 class Transition:
@@ -72,12 +97,14 @@ class Transition:
       enabled_in(state)    -- can this operation complete right now?
       depends_with(other)  -- this transition's own dependence claims
       coenabled_with(other)-- this transition's own co-enabledness claims
-      apply_to(state)      -- produce the successor state (snapshot style)
+      apply(s)             -- the operation's effect, made on a successor
+      footprint()          -- the keys its claims and its writes touch
 
     The defaults are the conservative ones: everything is dependent and
-    co-enabled with everything, enabled always, apply does nothing.  A new
-    primitive only has to narrow the claims it understands; unknown future
-    transition kinds are then handled soundly.
+    co-enabled with everything, enabled always, apply does nothing, and the
+    footprint is the wildcard.  A new primitive only has to narrow the claims
+    it understands; unknown future transition kinds are then handled soundly.
+    `apply_to` is the framework's, and is not overridden.
     """
 
     kind = "op"
@@ -117,7 +144,17 @@ class Transition:
         return True
 
     def apply_to(self, state: "ModelState") -> "ModelState":
-        return state.clone()
+        """The state after this step from `state`, which is left as it was."""
+        s = state.successor(self)
+        self.apply(s)
+        return s
+
+    def apply(self, s: "ModelState") -> None:
+        """Make this operation's effect on `s`, a successor this step owns.
+        It may write the objects its footprint names (any, under the
+        wildcard), the threads of its executor and `thread_target`, the
+        shared variables and the spurious-wakeup counts; the rest of `s` is
+        shared with the pre-state."""
 
     # -- optional hooks ----------------------------------------------------
 
@@ -142,13 +179,15 @@ class Transition:
         return ()
 
     def footprint(self) -> Optional[tuple]:
-        """Keys of everything this transition's dependence claims can touch.
+        """Keys of everything this transition's dependence claims can touch,
+        and of every object its `apply` writes.
 
         The engine only tests dependence between steps that share a key (or
         a thread relation, which the framework rule covers), so any
         transition this one may claim a conflict with -- or that may claim
-        one with it -- must share a key.  None is the wildcard: the step is
-        tested against everything, which is always sound.
+        one with it -- must share a key.  A successor state copies only the
+        objects listed here.  None is the wildcard: the step is tested
+        against everything and copies everything, which is always sound.
         """
         return None
 
@@ -287,8 +326,9 @@ def happens_before(i: int, trace: list, thread_clocks: dict, t: Transition) -> b
 class ThreadInfo:
     """One thread's status, pending transition and executed-step count, and
     `body_state`: the immutable state its compiled body resumes from (None
-    for a body that runs as a generator, or has not started).  Clones share
-    `body_state`, and fingerprints leave it out."""
+    for a body that runs as a generator, or has not started).  A clone
+    shares the pending transition and `body_state`, which are never mutated;
+    fingerprints leave `body_state` out."""
 
     __slots__ = ("status", "pending", "executed", "body_state")
 
@@ -308,8 +348,10 @@ class ModelState:
     status, pending transition and body state, shared variables,
     spurious-wakeup use.
 
-    Treated as an immutable snapshot by the engine; `apply_to` clones before
-    mutating, so stored pre-states stay valid for backtracking.
+    Treated as an immutable snapshot by the engine: a step writes only the
+    `successor` made for it, so stored pre-states stay valid for
+    backtracking.  Snapshots share every object and thread no step between
+    them wrote.
     """
 
     __slots__ = ("objects", "threads", "shared_vars", "spurious_used")
@@ -321,13 +363,32 @@ class ModelState:
         self.shared_vars = shared_vars if shared_vars is not None else {}
         self.spurious_used = spurious_used if spurious_used is not None else {}
 
+    def successor(self, t: Transition) -> "ModelState":
+        """A state for step `t` to write: fresh tables, fresh copies of the
+        objects in `t`'s footprint and of the threads of its executor and
+        target (the ones `runtime.execute_step` resumes), and everything
+        else shared with this state.  A wildcard step gets a `clone`."""
+        footprint = t.footprint()
+        if footprint is None:
+            return self.clone()
+        return self._copy(footprint, (t.executor, t.thread_target))
+
     def clone(self) -> "ModelState":
-        return ModelState(
-            {oid: obj.clone() for oid, obj in self.objects.items()},
-            {tid: ti.clone() for tid, ti in self.threads.items()},
-            dict(self.shared_vars),
-            dict(self.spurious_used),
-        )
+        """A copy that shares nothing mutable with this state."""
+        return self._copy(self.objects, self.threads)
+
+    def _copy(self, object_keys, tids) -> "ModelState":
+        objects, threads = dict(self.objects), dict(self.threads)
+        for key in object_keys:
+            obj = objects.get(key)
+            if obj is not None:
+                objects[key] = obj.clone()
+        for tid in tids:
+            info = threads.get(tid)
+            if info is not None:
+                threads[tid] = info.clone()
+        return ModelState(objects, threads, dict(self.shared_vars),
+                          dict(self.spurious_used))
 
     def thread(self, tid: ThreadId) -> ThreadInfo:
         return self.threads[tid]
@@ -335,33 +396,26 @@ class ModelState:
     def obj(self, oid: ObjectId) -> VisibleObject:
         return self.objects[oid]
 
-    def enabled_threads(self, budget: Optional[int] = None) -> list:
-        """Thread ids whose pending transition can execute now, in id order.
+    def live_threads(self, budget: Optional[int] = None) -> list:
+        """Thread ids that have a next step, in id order: runnable, with a
+        pending transition, and under the per-thread depth `budget` unless
+        that step is the thread's exit bookkeeping.  A thread at the budget
+        has no further step in the truncated program."""
+        return [tid for tid, info in sorted(self.threads.items())
+                if info.status == RUNNABLE and info.pending is not None
+                and (budget is None or info.executed < budget or info.pending.kind == "exit")]
 
-        A thread at the per-thread depth budget is artificially disabled,
-        except for its exit bookkeeping step.
-        """
-        out = []
-        for tid in sorted(self.threads):
-            ti = self.threads[tid]
-            if ti.status != RUNNABLE or ti.pending is None:
-                continue
-            if budget is not None and ti.executed >= budget and ti.pending.kind != "exit":
-                continue
-            if ti.pending.enabled_in(self):
-                out.append(tid)
-        return out
+    def enabled_threads(self, budget: Optional[int] = None, live: Optional[list] = None) -> list:
+        """The live threads (`live_threads(budget)`, unless given) whose
+        pending transition can execute now, in id order."""
+        if live is None:
+            live = self.live_threads(budget)
+        threads = self.threads
+        return [tid for tid in live if threads[tid].pending.enabled_in(self)]
 
     def thread_enabled(self, tid: ThreadId, budget: Optional[int] = None) -> bool:
-        """Whether `tid` is in `enabled_threads(budget)`, without testing the
-        other threads.  The same rule; `enabled_threads` keeps its own loop
-        because the search calls it on every frame."""
-        ti = self.threads.get(tid)
-        if ti is None or ti.status != RUNNABLE or ti.pending is None:
-            return False
-        if budget is not None and ti.executed >= budget and ti.pending.kind != "exit":
-            return False
-        return ti.pending.enabled_in(self)
+        """Whether `tid` is in `enabled_threads(budget)`."""
+        return tid in self.live_threads(budget) and self.threads[tid].pending.enabled_in(self)
 
     def pending_of(self, tid: ThreadId) -> Optional[Transition]:
         return self.threads[tid].pending

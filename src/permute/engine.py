@@ -399,32 +399,20 @@ class _Search:
                 self.segment_findings.append(
                     ("race", f"{var}: {k1} by thread {t1} vs {k2} by thread {t2}"))
 
-    def _update_candidates(self, frame: StackEntry) -> list:
-        budget = self.config.max_depth_per_thread
-        out = []
-        for tid in sorted(frame.pre_state.threads):
-            ti = frame.pre_state.threads[tid]
-            if ti.status != RUNNABLE or ti.pending is None:
-                continue
-            # A budget-disabled thread has no further transition in the
-            # truncated program, so it creates no backtrack points.
-            if budget is not None and ti.executed >= budget and ti.pending.kind != "exit":
-                continue
-            out.append(tid)
-        return out
-
-    def _add_backtrack_points(self, frame: StackEntry) -> None:
+    def _add_backtrack_points(self, frame: StackEntry, live: list) -> None:
         """Backtrack points for the pending transition of every live thread,
         enabled or not: a blocked transition can still race with the step
         that blocked it, and its alternative ordering must be scheduled at
         that older frame.  End states, where every live thread is blocked,
-        are no exception.  A thread the last step did not move is tested
-        against the newest step only (see `update_backtrack_sets`)."""
+        are no exception.  (A thread at the depth budget is not live: it has
+        no further step in the truncated program.)  A thread the last step
+        did not move is tested against the newest step only (see
+        `update_backtrack_sets`)."""
         stack, trace, index = self.stack, self.trace, self.index
         parent = stack[-2] if len(stack) > 1 else None
         newest = len(trace) - 1
         threads, clocks = frame.pre_state.threads, frame.thread_clocks
-        for tid in self._update_candidates(frame):
+        for tid in live:
             pending = threads[tid].pending
             since = 0
             if (parent is not None and parent.pre_state.threads[tid].pending is pending
@@ -508,8 +496,9 @@ class _Search:
             frame = self.stack[-1]
             if not frame.initialized:
                 frame.initialized = True
-                frame.enabled = frame.pre_state.enabled_threads(config.max_depth_per_thread)
-                self._add_backtrack_points(frame)
+                live = frame.pre_state.live_threads(config.max_depth_per_thread)
+                frame.enabled = frame.pre_state.enabled_threads(live=live)
+                self._add_backtrack_points(frame, live)
                 if not frame.enabled:
                     self._end_trace(frame.pre_state, classify_endstate(frame.pre_state, config))
                     self._pop()

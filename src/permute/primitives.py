@@ -8,8 +8,9 @@ constructors take more than the inherited `build`/`create` pass -- a policy,
 a mutex, a tag, a thread, a checked variable -- override those.  Each
 transition family also serves as the worked example for extensions: subclass
 `Transition`, define the enabled predicate, narrow the dependence and
-co-enabledness claims you understand, give the apply action, and optionally
-declare the footprint the search indexes steps by.
+co-enabledness claims you understand, give the effect in `apply`, and
+declare the footprint that the search indexes steps by and that names the
+objects `apply` writes (optional: the wildcard default is sound).
 
 Wait-style operations split into an enqueue step and a finish step
 (`WAIT_SPLITS`) so that wakeup policies (who gets to complete the wait) are
@@ -134,10 +135,8 @@ class _QueuedEnqueue(_ObjectOp):
             return other.kind == self.kind or other.kind == self.finish_kind
         return False  # arb_indep
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         _enqueue(s.objects[self.oid].queue, self.executor, self.policy)
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +158,6 @@ class MutexObj(VisibleObject):
     @classmethod
     def create(cls, oid, name, attrs, policy, max_spurious):
         return cls(oid, name, policy)
-
-    def clone(self):
-        c = MutexObj(self.oid, self.name, self.policy)
-        c.owner = self.owner
-        c.queue = list(self.queue)
-        return c
 
     def snapshot(self):
         return (-1 if self.owner is None else self.owner, tuple(self.queue), self.policy)
@@ -222,13 +215,11 @@ class MutexLock(_MutexOwnerOp):
     def enabled_in(self, state):
         return state.objects[self.oid].lockable_by(self.executor)
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         m = s.objects[self.oid]
         m.owner = self.executor
         if self.executor in m.queue:
             m.queue.remove(self.executor)
-        return s
 
 
 @register
@@ -242,12 +233,10 @@ class MutexUnlock(_MutexOwnerOp):
             return f"unlock of {self.object_name} by non-owner thread {self.executor}"
         return None
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         m = s.objects[self.oid]
         if m.owner == self.executor:
             m.owner = None
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +259,6 @@ class SemObj(VisibleObject):
     def create(cls, oid, name, attrs, policy, max_spurious):
         return cls(oid, name, attrs.get("init", 0), policy)
 
-    def clone(self):
-        c = SemObj(self.oid, self.name, self.value, self.policy)
-        c.queue = list(self.queue)
-        return c
-
     def snapshot(self):
         return (self.value, tuple(self.queue), self.policy)
 
@@ -286,10 +270,8 @@ class SemPost(_ObjectOp):
     # Two posts commute; the value observers and decrementers do not.
     conflicts = ("sem_finish", "sem_wait", "sem_getvalue")
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].value += 1
-        return s
 
 
 @register
@@ -323,12 +305,10 @@ class SemWaitFinish(_ObjectOp):
         sem = state.objects[self.oid]
         return sem.value > 0 and _eligible(sem.queue, self.executor, sem.policy)
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         sem = s.objects[self.oid]
         sem.value -= 1
         sem.queue.remove(self.executor)
-        return s
 
 
 @register
@@ -342,10 +322,8 @@ class SemWaitFused(_ObjectOp):
     def enabled_in(self, state):
         return state.objects[self.oid].value > 0
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].value -= 1
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +348,6 @@ class CondObj(VisibleObject):
     def create(cls, oid, name, attrs, policy, max_spurious):
         budget = attrs.get("spurious")
         return cls(oid, name, policy, max_spurious if budget is None else budget)
-
-    def clone(self):
-        c = CondObj(self.oid, self.name, self.policy, self.spurious_budget)
-        c.queue = list(self.queue)
-        c.grants = set(self.grants)
-        c.credits = self.credits
-        return c
 
     def snapshot(self):
         return (tuple(self.queue), tuple(sorted(self.grants)), self.credits,
@@ -460,13 +431,11 @@ class CondEnqueue(_CondWaitStep):
             return self.policy in (FIFO, LIFO, ARB_DEP)
         return False
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         mutex = s.objects[self.mutex_oid]
         if mutex.owner == self.executor:
             mutex.owner = None
         _enqueue(s.objects[self.oid].queue, (self.executor, self.mutex_oid), self.policy)
-        return s
 
 
 @register
@@ -497,8 +466,7 @@ class CondWakeFinish(_CondWaitStep):
             return True
         return self.same_object(other) and other.kind in COND_KINDS
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         cond = s.objects[self.oid]
         cond.queue.remove((self.executor, self.mutex_oid))
         if self.executor in cond.grants:
@@ -510,7 +478,6 @@ class CondWakeFinish(_CondWaitStep):
             s.spurious_used[self.oid] = s.spurious_used.get(self.oid, 0) + 1
         cond.clamp_credits()
         s.objects[self.mutex_oid].owner = self.executor
-        return s
 
 
 @register
@@ -519,8 +486,7 @@ class CondSignal(_ObjectOp):
     __slots__ = ()
     conflicts = COND_KINDS
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         cond = s.objects[self.oid]
         if cond.policy == FIFO:
             for tid, _m in cond.queue:
@@ -537,7 +503,6 @@ class CondSignal(_ObjectOp):
             # nobody is waiting (POSIX lost-signal semantics).
             if cond.ungranted_count() > cond.credits:
                 cond.credits += 1
-        return s
 
 
 @register
@@ -546,12 +511,10 @@ class CondBroadcast(_ObjectOp):
     __slots__ = ()
     conflicts = COND_KINDS
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         cond = s.objects[self.oid]
         cond.grants.update(tid for tid, _m in cond.queue)
         cond.credits = 0
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +543,6 @@ class RWLockObj(VisibleObject):
     @classmethod
     def create(cls, oid, name, attrs, policy, max_spurious):
         return cls(oid, name, attrs.get("preference", WRITER_PREF))
-
-    def clone(self):
-        c = RWLockObj(self.oid, self.name, self.preference)
-        c.active_writer = self.active_writer
-        c.active_readers = list(self.active_readers)
-        c.reader_queue = list(self.reader_queue)
-        c.writer_queue = list(self.writer_queue)
-        c.arrival_queue = list(self.arrival_queue)
-        return c
 
     def snapshot(self):
         return (self.preference,
@@ -668,15 +622,6 @@ class RWWLockObj(RWLockObj):
     def create(cls, oid, name, attrs, policy, max_spurious):
         return cls(oid, name)
 
-    def clone(self):
-        c = RWWLockObj(self.oid, self.name)
-        c.active_writer = self.active_writer
-        c.active_readers = list(self.active_readers)
-        c.reader_queue = list(self.reader_queue)
-        c.writer1_queue = list(self.writer1_queue)
-        c.writer2_queue = list(self.writer2_queue)
-        return c
-
     def snapshot(self):
         return (-1 if self.active_writer is None else self.active_writer,
                 tuple(self.active_readers), tuple(self.reader_queue),
@@ -750,10 +695,8 @@ class RWEnqueue(_RWTagged):
     kind_of_tag = _ENQUEUE_KINDS
     __slots__ = ()
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].enqueue(self.executor, self.tag)
-        return s
 
 
 @register
@@ -769,10 +712,8 @@ class RWReaderLock(_RWTransition):
             return False
         return True
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].acquire_reader(self.executor)
-        return s
 
 
 @register(kinds=tuple(_WRITER_KIND_OF_TAG.values()))
@@ -788,10 +729,8 @@ class RWWriterLock(_RWTagged):
             return False
         return True
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].acquire_writer(self.executor, self.tag)
-        return s
 
 
 @register(kinds=("rwunlock",))
@@ -805,10 +744,8 @@ class RWUnlock(_RWTransition):
             return f"rwunlock of {self.object_name} by non-holder thread {self.executor}"
         return None
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].release(self.executor)
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +767,6 @@ class BarrierObj(VisibleObject):
     def create(cls, oid, name, attrs, policy, max_spurious):
         return cls(oid, name, attrs.get("parties", 1))
 
-    def clone(self):
-        c = BarrierObj(self.oid, self.name, self.parties)
-        c.arrived = self.arrived
-        return c
-
     def snapshot(self):
         return (self.parties, self.arrived)
 
@@ -846,10 +778,8 @@ class BarrierArrive(_ObjectOp):
     kind = "arrive"
     __slots__ = ()
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].arrived += 1
-        return s
 
 
 @register
@@ -900,12 +830,10 @@ class ThreadCreate(_ThreadOp):
             raise ProgramError(f"create names unknown thread {req.target_name!r}")
         return super().build(tid, req, state, ctx)
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         child = s.threads[self.thread_target]
         if child.status == EMBRYO:
             child.status = RUNNABLE
-        return s
 
 
 @register
@@ -938,12 +866,10 @@ class ThreadExit(Transition):
     def footprint(self):
         return ()
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         info = s.threads[self.executor]
         info.status = EXITED
         info.pending = None
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -989,10 +915,8 @@ class VarWrite(_ObjectOp):
             return True
         return other.kind == "assert" and self.object_name in other.var_refs
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.shared_vars[self.object_name] = self.payload[0]
-        return s
 
 
 @register

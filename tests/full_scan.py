@@ -15,9 +15,9 @@ from permute import engine
 from permute.core import EMPTY_CLOCK, coenabled, dependent, happens_before
 
 
-def add_backtrack_points(search, frame) -> None:
+def add_backtrack_points(search, frame, live) -> None:
     trace, stack = search.trace, search.stack
-    for tid in search._update_candidates(frame):
+    for tid in live:
         t = frame.pre_state.pending_of(tid)
         for i in reversed(range(len(trace))):
             prior = trace[i]

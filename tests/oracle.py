@@ -45,13 +45,24 @@ def _context(program, config):
 
 def fresh_session_at(program, ctx, path):
     """A new session and its state after running the schedule `path` from the
-    start.  Generators cannot be forked, so each branch but the first of a
-    walk rebuilds its prefix this way."""
+    start."""
     session = RuntimeSession(program, ctx)
     state = initial_state(program, session, ctx)
     for tid in path:
         state = execute_step(session, state, tid, ctx).state
     return session, state
+
+
+def _branch(program, ctx, session, state, path, k):
+    """The session and state to run branch `k` of `state` from, `path` being
+    the schedule that reached it.  A step leaves its pre-state as it was
+    and compiled bodies resume from the state alone, so every branch of a
+    program without host threads starts from `state` itself.  A generator
+    cannot be forked: with host threads, each branch but the first rebuilds
+    its prefix."""
+    if k == 0 or not session.host_threads:
+        return session, state
+    return fresh_session_at(program, ctx, path)
 
 
 def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
@@ -90,8 +101,7 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
             return
         scan_races(state, enabled)
         for k, tid in enumerate(enabled):
-            if k > 0:
-                session, state = fresh_session_at(program, ctx, path)
+            session, state = _branch(program, ctx, session, state, path, k)
             outcome = execute_step(session, state, tid, ctx)
             note_findings(outcome.findings, state)
             path.append(tid)
@@ -104,34 +114,42 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
 
 @dataclass
 class StateGraph:
-    states: dict = field(default_factory=dict)   # fingerprint -> ModelState
+    states: dict = field(default_factory=dict)   # state_key -> ModelState
     deadlock_fps: set = field(default_factory=set)
     final_fps: set = field(default_factory=set)
 
 
+def state_key(state) -> tuple:
+    """What tells two reachable states apart: the fingerprint, and each
+    thread's body state, which the fingerprint leaves out but which decides
+    what the thread does next."""
+    return fingerprint(state), tuple(state.threads[tid].body_state
+                                     for tid in sorted(state.threads))
+
+
 def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
-    """Every distinct reachable state, by depth-first walk memoized on the
-    state fingerprint (each state expanded once, whatever path reached it)."""
+    """Every distinct reachable state, by depth-first walk memoized on
+    `state_key` (each state expanded once, whatever path reached it)."""
     ctx, budget = _context(program, config)
     graph = StateGraph()
     path = []
 
     def rec(session, state):
-        fp = fingerprint(state)
-        if fp in graph.states:
+        key = state_key(state)
+        if key in graph.states:
             return
         if len(graph.states) >= max_states:
             raise RuntimeError("state sweep exceeded the state limit")
-        graph.states[fp] = state
+        graph.states[key] = state
         enabled = state.enabled_threads(budget)
         if not enabled:
+            fp = key[0]
             graph.final_fps.add(fp)
             if _classify_deadlock(state, budget):
                 graph.deadlock_fps.add(fp)
             return
         for k, tid in enumerate(enabled):
-            if k > 0:
-                session, state = fresh_session_at(program, ctx, path)
+            session, state = _branch(program, ctx, session, state, path, k)
             outcome = execute_step(session, state, tid, ctx)
             path.append(tid)
             rec(session, outcome.state)

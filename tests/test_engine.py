@@ -26,7 +26,7 @@ from permute.runtime import NondeterminismDetected, ObjectDecl, Program, ReplayC
 from permute.scenario import instantiate, parse_scenario
 
 from full_scan import use_full_scans
-from oracle import brute_force
+from oracle import brute_force, reachable_states
 
 
 def scenario(text):
@@ -196,6 +196,21 @@ def test_races_of_blocked_threads_in_end_states_are_backtracked():
     text = open("src/permute/corpus/producer_consumer_if.scn").read()
     search, oracle = _end_states(scenario(text), ExplorationConfig(max_depth_per_thread=6))
     assert search == oracle and len(oracle[1]) == 4
+
+
+def test_oracles_keep_states_that_differ_only_in_thread_locals():
+    # After `b` writes x back to 0, the states where `a` read 0 and where it
+    # read 1 have one fingerprint; only `a`'s local tells them apart, and
+    # only the second writes y.
+    program = scenario("mutex m\nvar x = 0\nvar y = 0\n"
+                       "thread a { r = read x; lock m; if (r == 1) { write y 1; } unlock m; }\n"
+                       "thread b { write x 1; write x 0; }\n")
+    finals = brute_force(program).final_fps
+    assert len(finals) == 2
+    assert reachable_states(program).final_fps == finals
+    traces = []
+    explore(program, observer=traces.append)
+    assert {tr.fingerprint for tr in traces if tr.verdict != BLOCKED} == finals
 
 
 def test_budget_limits_thread_appearances():
@@ -405,8 +420,33 @@ AUDIT_CONFIGS = [
 ]
 
 
+def _contents(state):
+    return ({oid: obj.snapshot() for oid, obj in state.objects.items()},
+            {tid: (info.status, info.pending, info.executed, info.body_state)
+             for tid, info in state.threads.items()},
+            dict(state.shared_vars), dict(state.spurious_used))
+
+
+def _assert_writes_within_footprint(pre, contents, outcome):
+    """A step leaves its pre-state as it was, and its successor shares every
+    object outside its footprint and every thread it neither runs nor
+    targets: those are the parts `ModelState.successor` does not copy."""
+    t, post = outcome.transition, outcome.state
+    assert _contents(pre) == contents, f"{t} wrote its pre-state"
+    footprint = t.footprint()
+    if footprint is None:
+        return
+    for oid, obj in pre.objects.items():
+        if oid not in footprint:
+            assert post.objects[oid] is obj, f"{t} copied object {oid}"
+    for tid, info in pre.threads.items():
+        if tid not in (t.executor, t.thread_target):
+            assert post.threads[tid] is info, f"{t} copied thread {tid}"
+
+
 def _transitions_seen(program, config):
-    """Every distinct transition executed or pending on an explored trace."""
+    """Every distinct transition executed or pending on an explored trace.
+    The replay also audits each step's writes against its footprint."""
     traces = []
     explore(program, config, observer=traces.append)
     seen = {}
@@ -428,7 +468,8 @@ def _transitions_seen(program, config):
                            getattr(t, "policy", None))
                     seen.setdefault(key, t)
             if step is not None:
-                cursor.step(step)
+                contents = _contents(state)
+                _assert_writes_within_footprint(state, contents, cursor.step(step))
     return list(seen.values())
 
 

@@ -35,11 +35,6 @@ class GateObj(VisibleObject):
         super().__init__(oid, name)
         self.open = False
 
-    def clone(self):
-        c = GateObj(self.oid, self.name)
-        c.open = self.open
-        return c
-
     def snapshot(self):
         return (self.open,)
 
@@ -54,10 +49,8 @@ class GateOpen(Transition):
         # conservative default.
         return other.kind in ("gate_open", "gate_pass") and self.same_object(other)
 
-    def apply_to(self, state):
-        s = state.clone()
+    def apply(self, s):
         s.objects[self.oid].open = True
-        return s
 
 
 class GatePass(Transition):
