@@ -81,23 +81,24 @@ class TraceStore:
         self.directory = Path(directory)
         self.scenario_path = Path(scenario_path).resolve()
         self.digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
-        self.config = config
         self.written: dict = {}
+        # The lines every trace file of this store starts with.
+        self.header = [
+            TRACE_MAGIC,
+            f"version: {__version__}",
+            f"scenario: {self.scenario_path}",
+            f"scenario_sha256: {self.digest}",
+            f"config: {json.dumps(asdict(config), sort_keys=True)}",
+        ]
 
     def path_for(self, index: int) -> Path:
         return self.directory / f"trace-{index:06d}.txt"
 
     def write(self, result: TraceResult) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self.written:   # a check that persists nothing makes no directory
+            self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.index)
-        lines = [
-            TRACE_MAGIC,
-            f"version: {__version__}",
-            f"scenario: {self.scenario_path}",
-            f"scenario_sha256: {self.digest}",
-            f"config: {json.dumps(asdict(self.config), sort_keys=True)}",
-            f"steps: {len(result.schedule)}",
-        ]
+        lines = self.header + [f"steps: {len(result.schedule)}"]
         for k, step in enumerate(result.schedule):
             lines.append(f"step {k} thread {step.tid} {step.label} {step.obj} {step.payload}")
         lines.append(f"verdict: {result.verdict}")

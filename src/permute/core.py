@@ -135,6 +135,11 @@ class Transition:
     # -- search attributes -------------------------------------------------
 
     def enabled_in(self, state: "ModelState") -> bool:
+        """Whether this operation can complete in `state`.  It may read only
+        the objects its footprint names (any, under the wildcard) and the
+        status of `thread_target`: the search keeps a thread's enabledness
+        from the parent frame unless the step between them shares a key
+        with its pending transition or copies its target's thread entry."""
         return True
 
     def depends_with(self, other: "Transition") -> bool:
@@ -180,14 +185,18 @@ class Transition:
 
     def footprint(self) -> Optional[tuple]:
         """Keys of everything this transition's dependence claims can touch,
-        and of every object its `apply` writes.
+        of every object its `apply` writes, and of every object its
+        `enabled_in` reads.
 
         The engine only tests dependence between steps that share a key (or
         a thread relation, which the framework rule covers), so any
         transition this one may claim a conflict with -- or that may claim
         one with it -- must share a key.  A successor state copies only the
-        objects listed here.  None is the wildcard: the step is tested
-        against everything and copies everything, which is always sound.
+        objects listed here.  A pending transition is re-tested for
+        enabledness only after a step that shares a key with it (or copies
+        its `thread_target`'s entry), so `enabled_in` may read no other
+        object.  None is the wildcard: the step is tested against everything,
+        copies everything and re-tests everyone, which is always sound.
         """
         return None
 
@@ -342,6 +351,15 @@ class ThreadInfo:
     def clone(self) -> "ThreadInfo":
         return ThreadInfo(self.status, self.pending, self.executed, self.body_state)
 
+    def has_step(self, budget: Optional[int] = None) -> bool:
+        """Whether the thread has a next step: runnable, with a pending
+        transition, and under the per-thread depth `budget` unless that step
+        is its exit bookkeeping.  A thread at the budget has no further step
+        in the truncated program."""
+        pending = self.pending
+        return (self.status == RUNNABLE and pending is not None
+                and (budget is None or self.executed < budget or pending.kind == "exit"))
+
 
 class ModelState:
     """The checker's mirror of the program: visible objects, per-thread
@@ -397,13 +415,9 @@ class ModelState:
         return self.objects[oid]
 
     def live_threads(self, budget: Optional[int] = None) -> list:
-        """Thread ids that have a next step, in id order: runnable, with a
-        pending transition, and under the per-thread depth `budget` unless
-        that step is the thread's exit bookkeeping.  A thread at the budget
-        has no further step in the truncated program."""
-        return [tid for tid, info in sorted(self.threads.items())
-                if info.status == RUNNABLE and info.pending is not None
-                and (budget is None or info.executed < budget or info.pending.kind == "exit")]
+        """Thread ids that have a next step (`ThreadInfo.has_step`), in id
+        order."""
+        return [tid for tid, info in sorted(self.threads.items()) if info.has_step(budget)]
 
     def enabled_threads(self, budget: Optional[int] = None, live: Optional[list] = None) -> list:
         """The live threads (`live_threads(budget)`, unless given) whose
@@ -414,8 +428,9 @@ class ModelState:
         return [tid for tid in live if threads[tid].pending.enabled_in(self)]
 
     def thread_enabled(self, tid: ThreadId, budget: Optional[int] = None) -> bool:
-        """Whether `tid` is in `enabled_threads(budget)`."""
-        return tid in self.live_threads(budget) and self.threads[tid].pending.enabled_in(self)
+        """Whether `tid` is in `enabled_threads(budget)`, testing `tid` alone."""
+        info = self.threads.get(tid)
+        return info is not None and info.has_step(budget) and info.pending.enabled_in(self)
 
     def pending_of(self, tid: ThreadId) -> Optional[Transition]:
         return self.threads[tid].pending

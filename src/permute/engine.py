@@ -16,10 +16,26 @@ The work per step follows what the step changed:
   create or join.  The backtrack scan skips the related steps, which the
   framework never counts co-enabled (`core.coenabled`); the clock merge
   visits them, since they are dependent.
+- A frame other than the root is set up from its parent frame and the one
+  step `t` between them (`_Search._init_frame`).  `ModelState.successor`
+  copies only the thread entries of `t`'s executor and target (all of them
+  after a wildcard step), so a thread whose entry is still the parent's
+  keeps its status, pending transition and clock.  By the footprint
+  contract (`Transition.enabled_in`), `t` can change such a thread's
+  enabledness, or race with it, only when it *touches* the thread: when
+  either transition is a wildcard, when they share a footprint key, or when
+  the entry of the pending transition's `thread_target` was copied (a join
+  whose target just exited or crashed).  An untouched thread keeps the
+  parent's live and enabled answers and needs no backtrack test; a touched
+  one is re-tested for enabledness and tested against the newest step
+  only; a copied one gets the full live, enabled and backtrack treatment.
 - A live thread the last step did not move -- its pending transition and
   its clock are the objects the parent frame held -- was already scanned by
   the parent frame over every step but the newest, so only the newest step
   is tested for it (see `update_backtrack_sets`).
+- The race scan runs only when a thread with a pending read or write is new
+  to the enabled set or has a new pending transition: every other pair was
+  scanned by an ancestor frame, and its race key is already seen.
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
 
@@ -144,12 +160,13 @@ class TraceResult:
 class StackEntry:
     """One depth-first-search frame."""
 
-    __slots__ = ("pre_state", "enabled", "backtrack", "done", "sleep",
+    __slots__ = ("pre_state", "live", "enabled", "backtrack", "done", "sleep",
                  "chosen", "thread_clocks", "initialized")
 
     def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict):
         self.pre_state = pre_state
-        self.enabled: list = []
+        self.live: list = []                # threads with a next step, in id order
+        self.enabled: list = []             # the live ones that can take it, in id order
         self.backtrack: set = set()
         self.done: set = set()
         self.sleep = sleep                  # triple -> Transition
@@ -159,10 +176,14 @@ class StackEntry:
 
 
 def select_next(entry: StackEntry) -> Optional[ThreadId]:
-    """Smallest backtrack candidate not yet explored and not asleep."""
-    for tid in sorted(entry.backtrack - entry.done):
-        pending = entry.pre_state.pending_of(tid)
-        if pending is not None and pending.triple() not in entry.sleep:
+    """Smallest backtrack candidate not yet explored and not asleep.  Only
+    enabled threads are ever added to the backtrack set, so the candidates
+    are met in id order by walking `entry.enabled`."""
+    backtrack, done, sleep = entry.backtrack, entry.done, entry.sleep
+    threads = entry.pre_state.threads
+    for tid in entry.enabled:
+        if (tid in backtrack and tid not in done
+                and threads[tid].pending.triple() not in sleep):
             return tid
     return None
 
@@ -329,6 +350,7 @@ class _Search:
         self.index = FootprintIndex()
         self.moved: set = set()   # host threads whose bodies are ahead of the trace
         self.race_seen: set = set()
+        self.counted_steps = 0    # steps of the trace that are not exits
         self.segment_findings: list = []
         self.stop = False
 
@@ -341,7 +363,7 @@ class _Search:
         # Transition work is counted per finished schedule, prefix included:
         # the transitions it takes to run every explored schedule from its
         # start.  Exit bookkeeping steps don't count.
-        report.total_transitions += sum(1 for t in self.trace if t.kind != "exit")
+        report.total_transitions += self.counted_steps
         if verdict == DEADLOCK:
             report.deadlocks += 1
             if report.first_deadlock_trace is None:
@@ -399,26 +421,79 @@ class _Search:
                 self.segment_findings.append(
                     ("race", f"{var}: {k1} by thread {t1} vs {k2} by thread {t2}"))
 
-    def _add_backtrack_points(self, frame: StackEntry, live: list) -> None:
-        """Backtrack points for the pending transition of every live thread,
-        enabled or not: a blocked transition can still race with the step
-        that blocked it, and its alternative ordering must be scheduled at
-        that older frame.  End states, where every live thread is blocked,
-        are no exception.  (A thread at the depth budget is not live: it has
-        no further step in the truncated program.)  A thread the last step
-        did not move is tested against the newest step only (see
-        `update_backtrack_sets`)."""
+    def _init_frame(self, frame: StackEntry) -> None:
+        """Set up a new frame: its live and enabled threads, the backtrack
+        points for the pending transition of every live thread, and the race
+        scan.
+
+        Every live thread gets backtrack points, enabled or not: a blocked
+        transition can still race with the step that blocked it, and its
+        alternative ordering must be scheduled at that older frame.  End
+        states, where every live thread is blocked, are no exception.  (A
+        thread at the depth budget is not live: it has no further step in
+        the truncated program.)
+
+        The root frame tests every thread; it has no earlier step to add
+        backtrack points for.  Any other frame starts from its parent's
+        answers and re-tests only the threads the step between them copied
+        or touched (see the module docstring).
+        """
         stack, trace, index = self.stack, self.trace, self.index
-        parent = stack[-2] if len(stack) > 1 else None
+        state = frame.pre_state
+        budget = self.config.max_depth_per_thread
+        if not trace:
+            frame.live = state.live_threads(budget)
+            frame.enabled = state.enabled_threads(live=frame.live)
+            self._scan_races(frame)
+            return
+
+        parent = stack[-2]
         newest = len(trace) - 1
-        threads, clocks = frame.pre_state.threads, frame.thread_clocks
-        for tid in live:
-            pending = threads[tid].pending
-            since = 0
-            if (parent is not None and parent.pre_state.threads[tid].pending is pending
-                    and parent.thread_clocks.get(tid) is clocks.get(tid)):
+        keys = trace[newest].footprint()
+        step_keys = None if keys is None else frozenset(keys)
+        threads, parent_threads = state.threads, parent.pre_state.threads
+        clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
+        parent_live, parent_enabled = parent.live, parent.enabled
+        live, enabled = [], []
+        new_access = False
+        # Every thread of the program is in the table from the initial state
+        # on, in id order, and successors keep that order.
+        for tid, info in threads.items():
+            pending = info.pending
+            parent_info = parent_threads[tid]
+            if info is parent_info:
+                if tid not in parent_live:
+                    continue
+                live.append(tid)
+                pending_keys = pending.footprint()
+                target = pending.thread_target
+                if (step_keys is not None and pending_keys is not None
+                        and step_keys.isdisjoint(pending_keys)
+                        and (target is None
+                             or threads.get(target) is parent_threads.get(target))):
+                    # Untouched: the parent's answers stand, and the newest
+                    # step is in none of its candidate lists.
+                    if tid in parent_enabled:
+                        enabled.append(tid)
+                    continue
                 since = newest
+            else:
+                if not info.has_step(budget):
+                    continue
+                live.append(tid)
+                since = 0
+                if (parent_info.pending is pending
+                        and parent_clocks.get(tid) is clocks.get(tid)):
+                    since = newest
+            if pending.enabled_in(state):
+                enabled.append(tid)
+                if pending.kind in ("read", "write") and (
+                        pending is not parent_info.pending or tid not in parent_enabled):
+                    new_access = True
             update_backtrack_sets(stack, trace, frame, pending, index, since)
+        frame.live, frame.enabled = live, enabled
+        if new_access:
+            self._scan_races(frame)
 
     def _step_clock(self, frame: StackEntry, t: Transition) -> ClockVector:
         """Clock vector of step `t` from `frame`: its thread's clock merged
@@ -496,14 +571,11 @@ class _Search:
             frame = self.stack[-1]
             if not frame.initialized:
                 frame.initialized = True
-                live = frame.pre_state.live_threads(config.max_depth_per_thread)
-                frame.enabled = frame.pre_state.enabled_threads(live=live)
-                self._add_backtrack_points(frame, live)
+                self._init_frame(frame)
                 if not frame.enabled:
                     self._end_trace(frame.pre_state, classify_endstate(frame.pre_state, config))
                     self._pop()
                     continue
-                self._scan_races(frame)
                 seed = None
                 for tid in frame.enabled:
                     if frame.pre_state.pending_of(tid).triple() not in frame.sleep:
@@ -529,12 +601,16 @@ class _Search:
         if not self.stack:
             return
         executed = self.trace.pop()
+        if executed.kind != "exit":
+            self.counted_steps -= 1
         self.step_clocks.pop()
         self.index.pop()
         if self.config.sleep_sets_enabled:
             self.stack[-1].sleep[executed.triple()] = executed
-        self.moved.update(body for body, _ in moved_bodies(executed)
-                          if body in self.session.host_threads)
+        host_threads = self.session.host_threads
+        if host_threads:
+            self.moved.update(body for body, _ in moved_bodies(executed)
+                              if body in host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
         outcome = execute_step(self.session, frame.pre_state, tid, self.ctx)
@@ -553,6 +629,8 @@ class _Search:
         child_sleep = (propagate_sleep_set(frame.sleep, t)
                        if self.config.sleep_sets_enabled else {})
         self.trace.append(t)
+        if t.kind != "exit":
+            self.counted_steps += 1
         self.step_clocks.append(clock)
         self.index.push(t)
         self.stack.append(StackEntry(outcome.state, child_sleep, child_clocks))

@@ -1,12 +1,16 @@
 """Reference scans for the DPOR engine, in their textbook form.
 
-The engine's backtrack analysis tests only footprint-indexed candidates, and
-only the newest step for a thread the last step did not move; its clock
-merge skips steps the accumulating clock already covers.  The reference
-below does neither: every live thread's pending transition is tested against
-every step of the trace, and the clock of every dependent step is merged.
-Installing it with `use_full_scans` makes `explore` search as the plain
-Flanagan-Godefroid algorithm does, so a test can compare the two.
+The engine sets up a frame from its parent frame and the step between them:
+it re-tests only the threads that step copied or touched, tests only
+footprint-indexed candidates, and only the newest step for a thread the last
+step did not move, and scans for races only when a new access is enabled;
+its clock merge skips steps the accumulating clock already covers.  The
+reference below does none of this: every frame computes its live and enabled
+threads from the state alone, every live thread's pending transition is
+tested against every step of the trace, races are scanned on every frame,
+and the clock of every dependent step is merged.  Installing it with
+`use_full_scans` makes `explore` search as the plain Flanagan-Godefroid
+algorithm does, so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from permute import engine
 from permute.core import EMPTY_CLOCK, coenabled, dependent, happens_before
 
 
-def add_backtrack_points(search, frame, live) -> None:
+def init_frame(search, frame) -> None:
+    state = frame.pre_state
+    frame.live = state.live_threads(search.config.max_depth_per_thread)
+    frame.enabled = state.enabled_threads(live=frame.live)
     trace, stack = search.trace, search.stack
-    for tid in live:
+    for tid in frame.live:
         t = frame.pre_state.pending_of(tid)
         for i in reversed(range(len(trace))):
             prior = trace[i]
@@ -29,6 +36,7 @@ def add_backtrack_points(search, frame, live) -> None:
                 else:
                     entry.backtrack.update(entry.enabled)
                 break
+    search._scan_races(frame)
 
 
 def step_clock(search, frame, t):
@@ -41,5 +49,5 @@ def step_clock(search, frame, t):
 
 def use_full_scans(monkeypatch) -> None:
     """Make the engine use the reference scans for the rest of the test."""
-    monkeypatch.setattr(engine._Search, "_add_backtrack_points", add_backtrack_points)
+    monkeypatch.setattr(engine._Search, "_init_frame", init_frame)
     monkeypatch.setattr(engine._Search, "_step_clock", step_clock)

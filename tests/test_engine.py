@@ -378,6 +378,60 @@ def test_incremental_scans_explore_like_full_scans(monkeypatch):
         assert reference == traces, f"{name} {kw}"
 
 
+def _joins_crashing_thread(crash_at_once):
+    # Main joins `w` before `w` exists; a spawner creates it, so main's
+    # blocked join is a thread entry the crash leaves shared, and only the
+    # copied entry of its target says the join is now enabled.  `w` crashes
+    # when first resumed (by the create), or after a lock and an unlock.
+    def main():
+        yield ops.create("spawner")
+        yield ops.create("locker")
+        yield ops.join("w")
+        yield ops.join("spawner")
+        yield ops.join("locker")
+
+    def spawner():
+        yield ops.create("w")
+
+    def worker():
+        if not crash_at_once:
+            yield from _lock_unlock()
+        raise RuntimeError("worker fault")
+        yield   # a generator body
+
+    return Program([("main", main), ("spawner", spawner), ("locker", _lock_unlock),
+                    ("w", worker)])
+
+
+@pytest.mark.parametrize("crash_at_once", [True, False], ids=["first-resume", "mid-way"])
+def test_join_of_a_crashed_thread_becomes_enabled(monkeypatch, crash_at_once):
+    traces = []
+    report = explore(_joins_crashing_thread(crash_at_once), observer=traces.append)
+    assert report.crashes and report.deadlocks == 0
+    assert {tr.verdict for tr in traces} <= {COMPLETED, BLOCKED}
+    completed = [tr for tr in traces if tr.verdict == COMPLETED]
+    assert completed
+    for tr in completed:
+        assert (0, "join", "w", "-") in tr.schedule
+    use_full_scans(monkeypatch)
+    reference = []
+    assert explore(_joins_crashing_thread(crash_at_once), observer=reference.append) == report
+    assert reference == traces
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "sleep sets miss one budget-cut end state at max_depth_per_thread=6 (20 "
+    "against 21); see the CHANGES.md line 'FOUND: src/permute/engine.py sleep "
+    "sets under --max-thread-depth'"))
+def test_sleep_sets_reach_every_budget_cut_end_state():
+    program = scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read())
+    config = ExplorationConfig(max_depth_per_thread=6)
+    traces = []
+    explore(program, config, observer=traces.append)
+    ends = {tr.fingerprint for tr in traces if tr.verdict != BLOCKED}
+    assert ends == reachable_states(program, config).final_fps
+
+
 # -- compiled bodies -------------------------------------------------------------------
 
 def test_generator_bodies_explore_like_compiled_ones(monkeypatch):
@@ -444,9 +498,32 @@ def _assert_writes_within_footprint(pre, contents, outcome):
             assert post.threads[tid] is info, f"{t} copied thread {tid}"
 
 
+def _touches(t, pending, pre, post):
+    """Whether step `t` from `pre` to `post` touches a thread with `pending`
+    pending whose entry it leaves shared: either is a wildcard, they share
+    a footprint key, or the entry of `pending`'s thread_target was copied."""
+    keys, pending_keys = t.footprint(), pending.footprint()
+    target = pending.thread_target
+    return (keys is None or pending_keys is None or bool(set(keys) & set(pending_keys))
+            or (target is not None and post.threads.get(target) is not pre.threads.get(target)))
+
+
+def _assert_enabledness_within_footprint(pre, outcome):
+    """A step changes the enabledness of a thread whose entry its successor
+    shares only when it touches that thread: the engine keeps the parent
+    frame's answer for every other one."""
+    t, post = outcome.transition, outcome.state
+    for tid, info in pre.threads.items():
+        pending = info.pending
+        if (pending is not None and post.threads[tid] is info
+                and pending.enabled_in(pre) != pending.enabled_in(post)):
+            assert _touches(t, pending, pre, post), f"{t} changed {pending} untouched"
+
+
 def _transitions_seen(program, config):
     """Every distinct transition executed or pending on an explored trace.
-    The replay also audits each step's writes against its footprint."""
+    The replay also audits each step's writes and the enabledness it changes
+    against the footprints."""
     traces = []
     explore(program, config, observer=traces.append)
     seen = {}
@@ -469,7 +546,9 @@ def _transitions_seen(program, config):
                     seen.setdefault(key, t)
             if step is not None:
                 contents = _contents(state)
-                _assert_writes_within_footprint(state, contents, cursor.step(step))
+                outcome = cursor.step(step)
+                _assert_writes_within_footprint(state, contents, outcome)
+                _assert_enabledness_within_footprint(state, outcome)
     return list(seen.values())
 
 
