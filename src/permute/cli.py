@@ -24,7 +24,7 @@ from . import __version__
 from .corpus import list_scenarios
 from .engine import ExplorationConfig, ExplorationReport, TraceResult, explore
 from .primitives import POLICIES
-from .runtime import NondeterminismDetected, ReplayCursor, ScheduleStep
+from .runtime import BuildContext, NondeterminismDetected, ReplayCursor, ScheduleStep
 from .scenario import ScenarioError, instantiate, parse_scenario
 
 REPORT_KEYS = ("transitions", "traces", "deadlocks", "first_deadlock_trace",
@@ -171,35 +171,40 @@ def load_trace(path: Path) -> TraceData:
     return TraceData(scenario, digest, config, steps, verdict, fp)
 
 
-# The program of the scenario last replayed, by (resolved path, sha256), so
-# that verifying many traces of one scenario parses it once.
-_last_program: dict = {}
+# The program of the scenario last replayed, by sha256, with one build
+# context per configuration its traces were replayed under, so that
+# verifying many traces of one scenario parses it once and builds each
+# transition once per configuration.  Scenario objects are all declared, so
+# their ids do not depend on which replay meets them first.
+_last_program: dict = {}   # sha256 -> (program, {config key: BuildContext})
 
 
-def _program_for(trace: TraceData):
-    """The program of the trace's scenario.  The file is read and hashed on
-    every call, so a scenario edited since the recording is refused."""
+def _program_for(trace: TraceData) -> tuple:
+    """The program of the trace's scenario and its build contexts.  The file
+    is read and hashed on every call, so a scenario edited since the
+    recording is refused; equal text gives an equal program."""
     text = trace.scenario_path.read_text(encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != trace.scenario_sha256:
         raise TraceFormatError(
             f"{trace.scenario_path} changed since the trace was recorded")
-    key = (trace.scenario_path.resolve(), digest)
-    program = _last_program.get(key)
-    if program is None:
-        program = instantiate(parse_scenario(text))
+    cached = _last_program.get(digest)
+    if cached is None:
+        cached = (instantiate(parse_scenario(text)), {})
         _last_program.clear()
-        _last_program[key] = program
-    return program
+        _last_program[digest] = cached
+    return cached
 
 
-def _cursor_for(trace: TraceData, program=None) -> ReplayCursor:
-    if program is None:
-        program = _program_for(trace)
-    return ReplayCursor(program,
-                        policy_overrides=trace.config.policy_overrides,
-                        max_spurious=trace.config.max_spurious_wakeups,
-                        budget=trace.config.max_depth_per_thread)
+def _cursor_for(trace: TraceData, cached=None) -> ReplayCursor:
+    program, contexts = cached if cached is not None else _program_for(trace)
+    config = trace.config
+    key = (tuple(sorted(config.policy_overrides.items())), config.max_spurious_wakeups)
+    ctx = contexts.get(key)
+    if ctx is None:
+        ctx = contexts[key] = BuildContext(program, config.policy_overrides,
+                                           config.max_spurious_wakeups)
+    return ReplayCursor(program, budget=config.max_depth_per_thread, ctx=ctx)
 
 
 def verify_trace(path: Path) -> str:
@@ -230,8 +235,9 @@ class ReplayRepl:
         self.trace = trace
         self.index = trace_index
         self.out = out if out is not None else sys.stdout
-        self.program = _program_for(trace)
-        self.cursor = _cursor_for(trace, self.program)
+        self.cached = _program_for(trace)
+        self.program = self.cached[0]
+        self.cursor = _cursor_for(trace, self.cached)
 
     # -- positioning -------------------------------------------------------
 
@@ -240,7 +246,7 @@ class ReplayRepl:
         return self.cursor.position
 
     def _rebuild(self) -> None:
-        self.cursor = _cursor_for(self.trace, self.program)
+        self.cursor = _cursor_for(self.trace, self.cached)
 
     def goto(self, k: int) -> bool:
         if not 0 <= k <= len(self.trace.steps):

@@ -89,7 +89,18 @@ class VisibleObject:
 _CONTAINERS = (list, set, dict)
 
 
-class Transition:
+class _TransitionType(type):
+    """Fills a transition's stored search attributes (`Transition.seal`) as
+    soon as its constructor returns, so no transition is ever seen without
+    them."""
+
+    def __call__(cls, *args, **kwargs):
+        t = super().__call__(*args, **kwargs)
+        t.seal()
+        return t
+
+
+class Transition(metaclass=_TransitionType):
     """One visible operation by one thread, plus its search attributes.
 
     Subclasses override:
@@ -105,15 +116,26 @@ class Transition:
     footprint is the wildcard.  A new primitive only has to narrow the claims
     it understands; unknown future transition kinds are then handled soundly.
     `apply_to` is the framework's, and is not overridden.
+
+    A transition is an immutable value: the runtime builds one per distinct
+    request of a thread and check, and every branch of the search shares it.
+    Its footprint, sleep-set triple and object key are therefore computed
+    once, when it is constructed, and stored (`seal`).
     """
 
     kind = "op"
 
     # thread_target: the thread created or joined by this transition, if
     # any -- consulted by the framework create/join rules.  request: the
-    # request the runtime built this transition from, if any.
+    # request the runtime built this transition from, if any.  keys,
+    # key_set, sleep_key, obj_key: `footprint()` as a tuple and as a set
+    # (None for the wildcard), `triple()` and `object_key()`, stored by
+    # `seal`.  serial, relations: when the runtime shares this transition,
+    # its number among the ones its build context shares and the engine's
+    # memo of its relations with them, by their serial (None otherwise).
     __slots__ = ("executor", "oid", "object_name", "payload", "thread_target",
-                 "request")
+                 "request", "keys", "key_set", "sleep_key", "obj_key", "serial",
+                 "relations")
 
     def __init__(self, executor: ThreadId, oid: Optional[ObjectId] = None,
                  object_name: Optional[str] = None, payload: tuple = ()):
@@ -123,6 +145,16 @@ class Transition:
         self.payload = payload
         self.thread_target: Optional[ThreadId] = None
         self.request = None
+
+    def seal(self) -> None:
+        """Store the search attributes the engine reads on every step; run
+        once, after the constructor, by the class."""
+        keys = self.footprint()
+        self.keys = None if keys is None else tuple(keys)
+        self.key_set = None if keys is None else frozenset(self.keys)
+        self.obj_key = self.object_key()
+        self.sleep_key = self.triple()
+        self.serial = self.relations = None
 
     @classmethod
     def build(cls, tid: ThreadId, req, state: "ModelState", ctx) -> "Transition":
@@ -197,6 +229,8 @@ class Transition:
         its `thread_target`'s entry), so `enabled_in` may read no other
         object.  None is the wildcard: the step is tested against everything,
         copies everything and re-tests everyone, which is always sound.
+
+        Called once, by `seal`; the search reads the stored `keys`.
         """
         return None
 
@@ -210,8 +244,8 @@ class Transition:
         return self.oid if self.oid is not None else self.object_name
 
     def same_object(self, other: "Transition") -> bool:
-        key = self.object_key()
-        return key is not None and key == other.object_key()
+        key = self.obj_key
+        return key is not None and key == other.obj_key
 
     def __repr__(self):
         obj = self.object_name or ""
@@ -386,10 +420,10 @@ class ModelState:
         objects in `t`'s footprint and of the threads of its executor and
         target (the ones `runtime.execute_step` resumes), and everything
         else shared with this state.  A wildcard step gets a `clone`."""
-        footprint = t.footprint()
-        if footprint is None:
+        keys = t.keys
+        if keys is None:
             return self.clone()
-        return self._copy(footprint, (t.executor, t.thread_target))
+        return self._copy(keys, (t.executor, t.thread_target))
 
     def clone(self) -> "ModelState":
         """A copy that shares nothing mutable with this state."""

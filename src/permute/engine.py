@@ -38,6 +38,13 @@ The work per step follows what the step changed:
   scanned by an ancestor frame, and its race key is already seen.
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
+- Each relation is decided once per pair of transitions: the runtime shares
+  one transition per distinct request of a thread (`BuildContext.transition`),
+  and `pair_relations` remembers, for each pair of shared transitions, their
+  dependence (used by the clock merge and sleep-set propagation) and whether
+  they are dependent and co-enabled (used by the backtrack scan).  The
+  footprint, its key set and the sleep-set triple are read from the values
+  stored when the transition was built (`Transition.seal`).
 
 Backtracking restores model state from the frame snapshots.  A compiled
 body -- every scenario thread -- keeps its state in the snapshot too, so
@@ -183,15 +190,33 @@ def select_next(entry: StackEntry) -> Optional[ThreadId]:
     threads = entry.pre_state.threads
     for tid in entry.enabled:
         if (tid in backtrack and tid not in done
-                and threads[tid].pending.triple() not in sleep):
+                and threads[tid].pending.sleep_key not in sleep):
             return tid
     return None
+
+
+def pair_relations(a: Transition, b: Transition) -> tuple:
+    """(dependent(a, b), dependent and coenabled(a, b)).  Decided once per
+    pair of transitions one build context shares (`BuildContext.transition`)
+    and remembered in `b.relations` under `a.serial`; any other pair is
+    decided on every call.  The memo holds numbers, not transitions, so the
+    shared transitions form no reference cycle and are freed with their
+    context."""
+    memo, serial = b.relations, a.serial
+    if memo is not None and serial is not None:
+        known = memo.get(serial)
+        if known is None:
+            dep = dependent(a, b)
+            known = memo[serial] = (dep, dep and coenabled(a, b))
+        return known
+    dep = dependent(a, b)
+    return dep, dep and coenabled(a, b)
 
 
 def propagate_sleep_set(sleep: dict, executed: Transition) -> dict:
     """Initial sleep set of the child frame: entries still independent of
     the transition just executed."""
-    return {k: t for k, t in sleep.items() if not dependent(t, executed)}
+    return {k: t for k, t in sleep.items() if not pair_relations(t, executed)[0]}
 
 
 class FootprintIndex:
@@ -220,7 +245,7 @@ class FootprintIndex:
         lists = [self.executed.setdefault(t.executor, [])]
         if t.thread_target is not None:
             lists.append(self.targeting.setdefault(t.thread_target, []))
-        footprint = t.footprint()
+        footprint = t.keys
         if footprint is None:
             lists.append(self.wildcard)
         else:
@@ -240,7 +265,7 @@ class FootprintIndex:
         thread that `t` may be dependent with through a claim: its key lists
         and the wildcard list.  They may hold steps of t's own thread too,
         and a position may appear in more than one."""
-        footprint = t.footprint()
+        footprint = t.keys
         if footprint is None:
             return [range(len(self.lists_at))]
         by_key = self.by_key
@@ -286,9 +311,7 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
             # Steps of next_t's own thread are never co-enabled with it.
             if prior.executor == executor:
                 continue
-            if not dependent(prior, next_t):
-                continue
-            if not coenabled(prior, next_t):
+            if not pair_relations(prior, next_t)[1]:
                 continue
             if happens_before(i, trace, frontier.thread_clocks, next_t):
                 continue
@@ -449,8 +472,7 @@ class _Search:
 
         parent = stack[-2]
         newest = len(trace) - 1
-        keys = trace[newest].footprint()
-        step_keys = None if keys is None else frozenset(keys)
+        step_keys = trace[newest].key_set
         threads, parent_threads = state.threads, parent.pre_state.threads
         clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
         parent_live, parent_enabled = parent.live, parent.enabled
@@ -465,7 +487,7 @@ class _Search:
                 if tid not in parent_live:
                     continue
                 live.append(tid)
-                pending_keys = pending.footprint()
+                pending_keys = pending.keys
                 target = pending.thread_target
                 if (step_keys is not None and pending_keys is not None
                         and step_keys.isdisjoint(pending_keys)
@@ -509,7 +531,7 @@ class _Search:
                 prior = trace[j]
                 if clock.entries.get(prior.executor, 0) > j:
                     continue
-                if dependent(prior, t):
+                if pair_relations(prior, t)[0]:
                     clock = clock.merged(step_clocks[j])
         return clock.with_entry(t.executor, len(trace) + 1)
 
@@ -578,7 +600,7 @@ class _Search:
                     continue
                 seed = None
                 for tid in frame.enabled:
-                    if frame.pre_state.pending_of(tid).triple() not in frame.sleep:
+                    if frame.pre_state.pending_of(tid).sleep_key not in frame.sleep:
                         seed = tid
                         break
                 if seed is None:
@@ -606,7 +628,7 @@ class _Search:
         self.step_clocks.pop()
         self.index.pop()
         if self.config.sleep_sets_enabled:
-            self.stack[-1].sleep[executed.triple()] = executed
+            self.stack[-1].sleep[executed.sleep_key] = executed
         host_threads = self.session.host_threads
         if host_threads:
             self.moved.update(body for body, _ in moved_bodies(executed)
@@ -659,6 +681,6 @@ __all__ = [
     "BLOCKED", "BUDGET_EXHAUSTED", "COMPLETED", "DEADLOCK", "STOPPED_ON_FAILURE",
     "ExplorationConfig", "ExplorationReport", "FootprintIndex", "StackEntry",
     "TraceResult",
-    "classify_endstate", "explore", "propagate_sleep_set", "select_next",
+    "classify_endstate", "explore", "pair_relations", "propagate_sleep_set", "select_next",
     "update_backtrack_sets",
 ]

@@ -206,7 +206,17 @@ _DEFAULT_POLICY = {"mutex": prim.ARB_FUSED, "sem": prim.ARB_FUSED, "cond": prim.
 
 class BuildContext:
     """Everything transition building needs: the program, object identity,
-    and the resolved policy/spurious configuration."""
+    and the resolved policy/spurious configuration.
+
+    It also interns transitions: `transition` builds the transition of each
+    distinct request of each compiled thread once, and every later surfacing
+    of an equal request, on any branch, shares it.  A build may read only
+    the request, this context and the objects it ensures, so the shared
+    transition is the one a new build would make; the objects the first
+    build ensured are created again in every state that lacks them.  A host
+    thread's requests are built every time: they may carry a fresh closure
+    on every re-drive, which would grow the table without bound.
+    """
 
     def __init__(self, program: Program, policy_overrides: Optional[dict] = None,
                  max_spurious: int = 0):
@@ -215,6 +225,10 @@ class BuildContext:
         self.policy_overrides = dict(policy_overrides or {})
         self.max_spurious = max_spurious
         self.decls = {d.name: d for d in program.declarations}
+        # (thread, request, payload types) -> (transition, objects it ensured),
+        # each transition numbered by its `serial`, in insertion order.
+        self.transitions: dict = {}
+        self._ensured: Optional[list] = None   # the log of the build under way
         # Declared objects claim their ids up front, in declaration order, so
         # ids cannot depend on which branch of the search touches them first.
         for decl in program.declarations:
@@ -244,11 +258,48 @@ class BuildContext:
         if kind is None:
             raise ProgramError(f"object {name!r} has no declaration and no kind hint")
         oid = self.registry.oid_for(name, kind)
+        if self._ensured is not None:
+            self._ensured.append((oid, name, kind))
         if oid not in state.objects:
-            state.objects[oid] = prim.make_object(
-                kind, oid, name, decl.attrs if decl is not None else {},
-                self.policy_for(kind, name), self.max_spurious)
+            self._create(state, oid, name, kind)
         return oid
+
+    def _create(self, state: ModelState, oid: int, name: str, kind: str) -> None:
+        decl = self.decls.get(name)
+        state.objects[oid] = prim.make_object(
+            kind, oid, name, decl.attrs if decl is not None else {},
+            self.policy_for(kind, name), self.max_spurious)
+
+    def transition(self, tid: ThreadId, op: Optional[OpRequest],
+                   state: ModelState) -> Transition:
+        """The pending transition for request `op` that thread `tid`
+        surfaced in `state` (an owned snapshot), which keeps the request; a
+        body that returned (`op` None) has its exit step pending.  Interned
+        unless `tid` is a host thread or `op` is unhashable.  Equal requests
+        whose payload values differ in type (1, 1.0, True) print apart, so
+        they are interned apart."""
+        if self.program.codes[tid] is None:
+            return surfaced_transition(tid, op, state, self)
+        try:
+            key = (tid, op) if op is None else (tid, op, tuple(map(type, op.payload)))
+            entry = self.transitions.get(key)
+        except TypeError:   # an unhashable payload, such as a list
+            return surfaced_transition(tid, op, state, self)
+        if entry is not None:
+            t, ensured = entry
+            objects = state.objects
+            for oid, name, kind in ensured:
+                if oid not in objects:
+                    self._create(state, oid, name, kind)
+            return t
+        self._ensured = ensured = []
+        try:
+            t = surfaced_transition(tid, op, state, self)
+        finally:
+            self._ensured = None
+        t.serial, t.relations = len(self.transitions), {}
+        self.transitions[key] = (t, tuple(ensured))
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +433,16 @@ def initial_state(program: Program, session: RuntimeSession,
             state.shared_vars[decl.name] = decl.attrs.get("init", 0)
     main = state.threads[0]
     op, main.body_state = session.resume(0)
-    main.pending = surfaced_transition(0, op, state, ctx)
+    main.pending = ctx.transition(0, op, state)
     return state
 
 
 def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelState,
                         ctx: BuildContext) -> Transition:
-    """The pending transition for a request a body surfaced, which keeps the
-    request; a body that returned (`op` None) has its exit step pending."""
+    """A new build of the pending transition for a request a body surfaced,
+    which keeps the request; a body that returned (`op` None) has its exit
+    step pending.  The search and replays take it from
+    `BuildContext.transition`, which builds each one once."""
     if op is None:
         return prim.ThreadExit(tid)
     t = build_transition(tid, op, state, ctx)
@@ -439,7 +492,7 @@ def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
             info.status = EXITED
             info.pending = None
         else:
-            info.pending = surfaced_transition(body, op, new_state, ctx)
+            info.pending = ctx.transition(body, op, new_state)
 
     return StepOutcome(new_state, t, findings)
 
@@ -470,8 +523,12 @@ class ReplayCursor:
     """
 
     def __init__(self, program: Program, policy_overrides=None, max_spurious=0,
-                 budget=None):
-        self.ctx = BuildContext(program, policy_overrides, max_spurious)
+                 budget=None, ctx: Optional[BuildContext] = None):
+        """`ctx`, when given, is a context for `program` and this
+        configuration that earlier replays used: they share its objects' ids
+        and its transitions."""
+        self.ctx = ctx if ctx is not None else BuildContext(program, policy_overrides,
+                                                            max_spurious)
         self.budget = budget
         self.session = RuntimeSession(program, self.ctx)
         self.state = initial_state(program, self.session, self.ctx)

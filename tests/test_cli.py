@@ -6,6 +6,7 @@ import re
 import pytest
 
 from permute import cli as cli_module
+from permute import runtime
 from permute.cli import (
     REPORT_KEYS,
     ReplayRepl,
@@ -135,6 +136,8 @@ def test_verifies_of_one_scenario_parse_it_once(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "check", str(scenario), "--trace-dir", str(tmp_path / "traces"),
             "--keep-all-traces")
     first, second = sorted((tmp_path / "traces").glob("trace-*.txt"))[:2]
+    # The memo is keyed on the scenario text, which earlier tests verified too.
+    monkeypatch.setattr(cli_module, "_last_program", {})
     parses = []
     parse = cli_module.parse_scenario
     monkeypatch.setattr(cli_module, "parse_scenario",
@@ -142,6 +145,23 @@ def test_verifies_of_one_scenario_parse_it_once(tmp_path, capsys, monkeypatch):
     assert verify_trace(first) == load_trace(first).fingerprint
     assert verify_trace(second) == load_trace(second).fingerprint
     assert len(parses) == 1
+
+
+def test_a_second_verify_of_a_trace_builds_no_transition(tmp_path, capsys, monkeypatch):
+    scenario = _scenario_copy(tmp_path, "reader_two_writers_cond")
+    run_cli(capsys, "check", str(scenario), "--trace-dir", str(tmp_path / "traces"),
+            "--max-thread-depth", "4", "--keep-all-traces")
+    path = sorted((tmp_path / "traces").glob("trace-*.txt"))[-1]
+    monkeypatch.setattr(cli_module, "_last_program", {})
+    builds = []
+    build = runtime.build_transition
+    monkeypatch.setattr(runtime, "build_transition",
+                        lambda *args: builds.append(args) or build(*args))
+    verify_trace(path)
+    assert builds
+    builds.clear()
+    assert verify_trace(path) == load_trace(path).fingerprint
+    assert builds == []
 
 
 def test_verify_refuses_a_scenario_edited_after_a_verify(tmp_path, capsys):

@@ -1,11 +1,21 @@
 """Search mechanics: selection, sleep sets, backtrack points, verdicts."""
 
+import collections
 import itertools
+from unittest import mock
 
 import pytest
 
-from permute.core import EMPTY_CLOCK, RUNNABLE, ClockVector, ModelState, ThreadInfo, dependent
-from permute import engine
+from permute.core import (
+    EMPTY_CLOCK,
+    RUNNABLE,
+    ClockVector,
+    ModelState,
+    ThreadInfo,
+    coenabled,
+    dependent,
+)
+from permute import engine, runtime
 from permute import primitives as prim
 from permute.corpus import list_scenarios
 from permute.engine import (
@@ -22,7 +32,16 @@ from permute.engine import (
     select_next,
     update_backtrack_sets,
 )
-from permute.runtime import NondeterminismDetected, ObjectDecl, Program, ReplayCursor, ops
+from permute.runtime import (
+    BuildContext,
+    NondeterminismDetected,
+    ObjectDecl,
+    Program,
+    ReplayCursor,
+    ops,
+    schedule_step,
+    surfaced_transition,
+)
 from permute.scenario import instantiate, parse_scenario
 
 from full_scan import use_full_scans
@@ -337,6 +356,81 @@ def test_fresh_assert_closure_per_build_is_not_a_divergence():
     assert report == explore(program(lambda shared: shared["x"] == 0))
     assert report.traces > 1 and not report.has_findings()
 
+    # A host thread's transitions are built anew on every surfacing, so the
+    # fresh closures leave nothing behind in the build context.
+    search = engine._Search(program(), ExplorationConfig())
+    assert search.run() == report
+    assert search.ctx.transitions == {}
+
+
+class _Script:
+    """Compiled code that surfaces a fixed list of requests in order; its
+    state is the index of the request it surfaced last."""
+
+    def __init__(self, requests):
+        self.requests = requests
+
+    def start(self):
+        return self._at(0)
+
+    def resume(self, state, result):
+        return self._at(state + 1)
+
+    def _at(self, i):
+        return (self.requests[i] if i < len(self.requests) else None), i
+
+
+def _body_of(requests):
+    def body():
+        for request in requests:
+            yield request
+    return body
+
+
+def _scripted(scripts, declarations, compiled):
+    """A program whose threads surface the requests `scripts` lists, run as
+    compiled code or as host generators."""
+    codes = [_Script(requests) for requests in scripts.values()] if compiled else ()
+    return Program([(name, _body_of(requests)) for name, requests in scripts.items()],
+                   declarations, codes)
+
+
+def _mixed_writes(compiled):
+    # Equal values of four types, one of them unhashable, written to one
+    # variable by one thread while another reads it.
+    return _scripted({"main": [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")],
+                      "w": [ops.write("x", value) for value in ([1], True, 1, 1.0)],
+                      "r": [ops.read("x")]},
+                     [ObjectDecl("x", "var", {"init": 0})], compiled)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["host", "compiled"])
+def test_equal_payloads_of_other_types_stay_apart(compiled):
+    traces = []
+    explore(_mixed_writes(compiled), observer=traces.append)
+    assert [" ".join(f"{step.label}:{step.payload}" for step in tr.schedule if step.tid)
+            for tr in traces] == [
+        "write:[1] write:True write:1 write:1.0 exit:- read:- exit:-",
+        "write:[1] write:True write:1 read:- write:1.0 exit:- exit:-",
+        "write:[1] write:True read:- write:1 write:1.0 exit:- exit:-",
+        "write:[1] read:- write:True write:1 write:1.0 exit:- exit:-",
+        "read:- write:[1] write:True write:1 write:1.0 exit:- exit:-",
+    ]
+
+
+def test_each_distinct_request_is_built_once_per_check(monkeypatch):
+    builds = collections.Counter()
+    build = runtime.build_transition
+
+    def counted(tid, req, state, ctx):
+        builds[tid, req] += 1
+        return build(tid, req, state, ctx)
+
+    monkeypatch.setattr(runtime, "build_transition", counted)
+    explore(scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
+            ExplorationConfig(max_depth_per_thread=16))
+    assert builds and max(builds.values()) == 1
+
 
 # -- incremental analysis ----------------------------------------------------------------
 
@@ -520,17 +614,58 @@ def _assert_enabledness_within_footprint(pre, outcome):
             assert _touches(t, pending, pre, post), f"{t} changed {pending} untouched"
 
 
+class _AuditedContext(BuildContext):
+    """A build context that checks every transition it hands out against a
+    new build of the same request on a copy of the same state: the shared
+    transition must be the one a build would make, with the same stored
+    search attributes, and the state must already hold every object the
+    build ensures."""
+
+    def transition(self, tid, op, state):
+        t = super().transition(tid, op, state)
+        scratch = ModelState(dict(state.objects), state.threads, state.shared_vars,
+                             state.spurious_used)
+        fresh = surfaced_transition(tid, op, scratch, self)
+        assert scratch.objects.keys() == state.objects.keys(), f"{t}: an object is missing"
+        fresh_keys = fresh.footprint()
+        assert ((type(t), schedule_step(t), t.keys, t.sleep_key, t.thread_target)
+                == (type(fresh), schedule_step(fresh),
+                    None if fresh_keys is None else tuple(fresh_keys),
+                    fresh.triple(), fresh.thread_target)), f"{t} / {fresh}"
+        return t
+
+
+def _assert_memo_holds(ctx):
+    """Every pair relation the search remembered is the one the framework
+    rules give."""
+    shared = [t for t, _ in ctx.transitions.values()]
+    for t in shared:
+        assert shared[t.serial] is t
+        for serial, known in t.relations.items():
+            other = shared[serial]
+            dep = dependent(other, t)
+            assert known == (dep, dep and coenabled(other, t)), f"{other} / {t}"
+
+
 def _transitions_seen(program, config):
     """Every distinct transition executed or pending on an explored trace.
+    The search and the replays share transitions through an audited build
+    context, and the search's remembered pair relations are audited too.
     The replay also audits each step's writes and the enabledness it changes
     against the footprints."""
     traces = []
-    explore(program, config, observer=traces.append)
+    with mock.patch.object(engine, "BuildContext", _AuditedContext):
+        search = engine._Search(program, config, observer=traces.append)
+    search.run()
+    _assert_memo_holds(search.ctx)
+    # The replays share one context, as verifies of one scenario do; each
+    # starts from a state without objects, so every object a shared
+    # transition needs is created on a hit.  Scenario objects are all
+    # declared, so their ids agree across replays.
+    ctx = _AuditedContext(program, config.policy_overrides, config.max_spurious_wakeups)
     seen = {}
     for tr in traces:
-        # Scenario objects are all declared, so their ids agree across replays.
-        cursor = ReplayCursor(program, config.policy_overrides, config.max_spurious_wakeups,
-                              config.max_depth_per_thread)
+        cursor = ReplayCursor(program, budget=config.max_depth_per_thread, ctx=ctx)
         for step in tr.schedule + [None]:
             # Replays test one thread's enabledness; it must agree with the
             # search's enabled set on every state visited.
@@ -554,7 +689,9 @@ def _transitions_seen(program, config):
 
 def test_footprints_cover_every_dependence_in_the_corpus():
     # The index only tests steps that share a footprint key or a thread
-    # relation; a dependent pair outside those would be missed.
+    # relation; a dependent pair outside those would be missed.  Walking the
+    # corpus also audits the shared transitions and the remembered pair
+    # relations (`_transitions_seen`).
     pairs = 0
     for name, path in list_scenarios():
         program = instantiate(parse_scenario(path.read_text()))
@@ -569,3 +706,11 @@ def test_footprints_cover_every_dependence_in_the_corpus():
                         or a.thread_target == b.executor or b.thread_target == a.executor
                         or set(fa) & set(fb)), f"{name} {kw}: {a} / {b}"
     assert pairs > 1000
+
+
+@pytest.mark.parametrize("kw", AUDIT_CONFIGS)
+def test_shared_transitions_keep_payload_types_apart(kw):
+    # The corpus writes integers only, so the audit in `_transitions_seen`
+    # also walks a compiled thread that writes equal values of other types:
+    # each surfaced write must print as a new build of it would.
+    assert _transitions_seen(_mixed_writes(True), ExplorationConfig(**kw))
