@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from .core import fingerprint
 from .corpus import list_scenarios
 from .engine import ExplorationConfig, ExplorationReport, TraceResult, explore
 from .primitives import POLICIES
@@ -217,8 +218,7 @@ def verify_trace(path: Path) -> str:
     cursor = _cursor_for(trace)
     for step in trace.steps:
         cursor.step(step)
-    from .core import fingerprint as fp_of
-    actual = fp_of(cursor.state)
+    actual = fingerprint(cursor.state)
     if actual != trace.fingerprint:
         raise TraceFormatError(
             f"{path}: replay fingerprint {actual} != recorded {trace.fingerprint}")

@@ -38,9 +38,13 @@ The work per step follows what the step changed:
   scanned by an ancestor frame, and its race key is already seen.
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
+- Each compiled body step runs once per build context: `BuildContext.resume`
+  memoizes a compiled thread's step by the step it resumes past, its body
+  state and the result, and a repeat installs the recorded body state and
+  pending transition without running the interpreter.
 - Each relation is decided once per pair of transitions: the runtime shares
-  one transition per distinct request of a thread (`BuildContext.transition`),
-  and `pair_relations` remembers, for each pair of shared transitions, their
+  one transition per distinct request of a thread (its intern table), and
+  `pair_relations` remembers, for each pair of shared transitions, their
   dependence (used by the clock merge and sleep-set propagation) and whether
   they are dependent and co-enabled (used by the backtrack scan).  The
   footprint, its key set and the sleep-set triple are read from the values
@@ -125,6 +129,8 @@ class ExplorationConfig:
             raise TypeError(f"max_spurious_wakeups must be an int, not {spurious!r}")
         if depth is not None and depth < 1:
             raise ValueError("max_depth_per_thread must be >= 1 when set")
+        if spurious < 0:
+            raise ValueError("max_spurious_wakeups must be >= 0")
         overrides = self.policy_overrides
         if not isinstance(overrides, dict) or not all(
                 isinstance(kind, str) and policy in POLICIES
@@ -197,7 +203,7 @@ def select_next(entry: StackEntry) -> Optional[ThreadId]:
 
 def pair_relations(a: Transition, b: Transition) -> tuple:
     """(dependent(a, b), dependent and coenabled(a, b)).  Decided once per
-    pair of transitions one build context shares (`BuildContext.transition`)
+    pair of transitions one build context shares (`BuildContext.resume`)
     and remembered in `b.relations` under `a.serial`; any other pair is
     decided on every call.  The memo holds numbers, not transitions, so the
     shared transitions form no reference cycle and are freed with their
@@ -560,7 +566,7 @@ class _Search:
         compare what it surfaces with the pending transition recorded after
         step i (-1: at its start)."""
         try:
-            op, _ = self.session.resume(tid, None, after, result)
+            op = self.session.resume(tid, after, result)
             crash = None
         except BodyCrash as exc:
             op, crash = None, exc

@@ -8,20 +8,23 @@ body comes in one of two forms:
 - Compiled code (`Program.codes`), as every scenario thread is: its whole
   state is an immutable value kept in the thread's `ThreadInfo`, so every
   model-state snapshot holds each thread's body state too, and a thread
-  resumes from any snapshot.
+  resumes from any snapshot.  Its steps are pure functions of their
+  inputs, so `BuildContext.resume` runs each distinct step once per build
+  context and installs the recorded outcome on every later one.
 - A host generator.  Given the same sequence of delivered results it must
   emit the same requests; that determinism contract is what lets the engine
   restart a generator and re-drive it through its steps instead of forking
   the process, and it is checked on every re-drive and every replay.
+  `RuntimeSession` owns the live generators and runs every step anew.
 
-`RuntimeSession.resume` resumes both forms.  Wait-style requests
-(`sem_wait`, `cond_wait`, `lock` under a queued policy, read/write lock
-acquisition, `barrier_wait`) are split there into their enqueue and finish
-halves, by `primitives.WAIT_SPLITS`: the body yields one high-level request
-and the session surfaces the parts one scheduling step at a time.  Each
-surfaced request becomes a transition through the class registered for its
-kind (`core.register`), whose `build` names the objects it needs from the
-`BuildContext`.
+`BuildContext.next_request` runs one step of either form.  Wait-style
+requests (`sem_wait`, `cond_wait`, `lock` under a queued policy, read/write
+lock acquisition, `barrier_wait`) are split there into their enqueue and
+finish halves, by `primitives.WAIT_SPLITS`: the body yields one high-level
+request and the context surfaces the parts one scheduling step at a time.
+Each surfaced request becomes a transition through the class registered for
+its kind (`core.register`), whose `build` names the objects it needs from
+the `BuildContext`.
 """
 
 from __future__ import annotations
@@ -151,6 +154,10 @@ class Program:
     runs as its generator body, or its compiled code: an object whose
     `start()` and `resume(state, result)` return the thread's next request
     (None once it returned) and the immutable state to resume it from.
+    `start()` must always return the same, and `resume(state, result)` must
+    be a pure function of its arguments: the runtime memoizes both per build
+    context, and runs them again only for a key it has not seen (equal
+    values of other types count as other keys) or cannot hash.
     """
 
     def __init__(self, threads: list, declarations: list = (),  # type: ignore[assignment]
@@ -208,14 +215,29 @@ class BuildContext:
     """Everything transition building needs: the program, object identity,
     and the resolved policy/spurious configuration.
 
-    It also interns transitions: `transition` builds the transition of each
-    distinct request of each compiled thread once, and every later surfacing
-    of an equal request, on any branch, shares it.  A build may read only
-    the request, this context and the objects it ensures, so the shared
-    transition is the one a new build would make; the objects the first
-    build ensured are created again in every state that lacks them.  A host
-    thread's requests are built every time: they may carry a fresh closure
-    on every re-drive, which would grow the table without bound.
+    It also steps compiled threads (`resume`) and keeps two memos:
+
+    - The step table.  A compiled thread's step is a pure function of the
+      thread, the step it resumes past, its body state and the step's
+      result, so the context runs it once; every later step with an equal
+      key, on any branch and in every replay that shares the context,
+      installs the recorded body state and pending transition.  Keys are
+      type-exact: `1`, `True` and `1.0` stay apart, in the result and in
+      the body state.
+    - The intern table.  Each distinct request of each compiled thread is
+      built once, and every later surfacing of an equal request shares the
+      transition.  A build may read only the request, this context and the
+      objects it ensures, so the shared transition is the one a new build
+      would make.
+
+    On a hit in either table, every object the first build ensured is
+    created in the state if it lacks it.  A step whose key or request is
+    unhashable, or that resumes past a transition that is not interned,
+    runs and builds every time, which keeps both tables bounded by the
+    program's distinct steps; so does every step of a host thread
+    (`RuntimeSession`), whose requests may carry a fresh closure on every
+    re-drive.  The split halves of each wait request are built once per
+    context, so every execution of a wait surfaces the same objects.
     """
 
     def __init__(self, program: Program, policy_overrides: Optional[dict] = None,
@@ -228,7 +250,12 @@ class BuildContext:
         # (thread, request, payload types) -> (transition, objects it ensured),
         # each transition numbered by its `serial`, in insertion order.
         self.transitions: dict = {}
+        # step key (`_step_key`) -> (body state after, `transitions` entry of
+        # the pending transition there).
+        self.steps: dict = {}
         self._ensured: Optional[list] = None   # the log of the build under way
+        self._first_half: dict = {}    # wait request -> the part surfaced first
+        self._finish_half: dict = {}   # enqueue half -> its finish half
         # Declared objects claim their ids up front, in declaration order, so
         # ids cannot depend on which branch of the search touches them first.
         for decl in program.declarations:
@@ -270,99 +297,83 @@ class BuildContext:
             kind, oid, name, decl.attrs if decl is not None else {},
             self.policy_for(kind, name), self.max_spurious)
 
-    def transition(self, tid: ThreadId, op: Optional[OpRequest],
-                   state: ModelState) -> Transition:
-        """The pending transition for request `op` that thread `tid`
-        surfaced in `state` (an owned snapshot), which keeps the request; a
-        body that returned (`op` None) has its exit step pending.  Interned
-        unless `tid` is a host thread or `op` is unhashable.  Equal requests
-        whose payload values differ in type (1, 1.0, True) print apart, so
-        they are interned apart."""
-        if self.program.codes[tid] is None:
-            return surfaced_transition(tid, op, state, self)
+    def resume(self, tid: ThreadId, body_state, after: Optional[Transition], result,
+               state: ModelState) -> tuple:
+        """Compiled thread `tid`'s body state and pending transition after
+        its step `after` (None: at its start), which returned `result`,
+        resumed from `body_state`, with every object the transition needs
+        created in `state` (an owned snapshot).  A body that raises raises
+        BodyCrash."""
+        key = _step_key(tid, body_state, after, result)
+        try:
+            step = self.steps.get(key)
+        except TypeError:   # an unhashable body state or result
+            key = step = None
+        if step is None:
+            op, body_state = self.next_request(tid, body_state, after, result)
+            entry = self._interned(tid, op, state)
+            if entry is None:
+                return body_state, surfaced_transition(tid, op, state, self)
+            step = (body_state, entry)
+            if key is not None:
+                self.steps[key] = step
+        body_state, (t, ensured) = step
+        objects = state.objects
+        for oid, name, kind in ensured:
+            if oid not in objects:
+                self._create(state, oid, name, kind)
+        return body_state, t
+
+    def next_request(self, tid: ThreadId, body_state, after: Optional[Transition],
+                     result, generator=None) -> tuple:
+        """Thread `tid`'s next request and its body state there, run anew:
+        its first when `after` is None, else the one after its step `after`,
+        which returned `result`, resumed from `body_state`, or from
+        `generator`, a host thread's live body.  The request is None once the
+        body returned.  An enqueue half is followed by its finish half
+        without resuming the body.  A body that raises raises BodyCrash."""
+        if after is not None:
+            finish = self._finish_of(after.request)
+            if finish is not None:
+                return finish, body_state
+        try:
+            if generator is not None:
+                req = next(generator) if after is None else generator.send(result)
+            else:
+                code = self.program.codes[tid]
+                if after is None:
+                    req, body_state = code.start()
+                else:
+                    req, body_state = code.resume(body_state, result)
+        except StopIteration:
+            return None, body_state
+        except Exception as exc:  # body fault: the crash-finding path
+            raise BodyCrash(tid, exc) from exc
+        return self._surfaced(req), body_state
+
+    def _interned(self, tid: ThreadId, op: Optional[OpRequest], state: ModelState):
+        """The `transitions` entry of the transition for request `op` that
+        compiled thread `tid` surfaced in `state`, built on first sight;
+        None for an unhashable request.  Equal requests whose payload values
+        differ in type (1, 1.0, True) print apart, so they are interned
+        apart."""
         try:
             key = (tid, op) if op is None else (tid, op, tuple(map(type, op.payload)))
             entry = self.transitions.get(key)
         except TypeError:   # an unhashable payload, such as a list
-            return surfaced_transition(tid, op, state, self)
-        if entry is not None:
-            t, ensured = entry
-            objects = state.objects
-            for oid, name, kind in ensured:
-                if oid not in objects:
-                    self._create(state, oid, name, kind)
-            return t
-        self._ensured = ensured = []
-        try:
-            t = surfaced_transition(tid, op, state, self)
-        finally:
-            self._ensured = None
-        t.serial, t.relations = len(self.transitions), {}
-        self.transitions[key] = (t, tuple(ensured))
-        return t
-
-
-# ---------------------------------------------------------------------------
-# Sessions
-# ---------------------------------------------------------------------------
-
-
-class RuntimeSession:
-    """Resumes the bodies of one execution attempt.
-
-    A compiled thread resumes from the body state its snapshot holds, so
-    the session keeps nothing for it.  A host thread is a live generator,
-    owned here, that cannot be rewound: it starts once, and again only
-    after `rewind`.  The split halves of each wait request are built once
-    per session, so every execution of a wait surfaces the same objects.
-    """
-
-    def __init__(self, program: Program, ctx: BuildContext):
-        self.program = program
-        self.ctx = ctx
-        self.host_threads = frozenset(
-            tid for tid, code in enumerate(program.codes) if code is None)
-        self._generators: dict = {}
-        self._first_half: dict = {}    # wait request -> the part surfaced first
-        self._finish_half: dict = {}   # enqueue half -> its finish half
-        self._finish_kinds = dict(prim.WAIT_SPLITS.values())
-
-    def resume(self, tid: ThreadId, state=None, after: Optional[Transition] = None,
-               result=None) -> tuple:
-        """Thread `tid`'s next request and the body state it surfaced in: its
-        first when `after` is None, else the one after its step `after`,
-        which returned `result`, resumed from body state `state`.  The
-        request is None once the body returned.  An enqueue half is followed
-        by its finish half without resuming the body.  A body that raises
-        raises BodyCrash."""
-        if after is not None:
-            finish = self._finish_of(after.request)
-            if finish is not None:
-                return finish, state
-        code = self.program.codes[tid]
-        if code is None:
-            if after is None:
-                if tid in self._generators:
-                    raise ProgramError(f"thread {tid} spawned twice")
-                self._generators[tid] = self.program.body_factory(tid)()
-            gen = self._generators[tid]
-        try:
-            if code is not None:
-                req, state = code.start() if after is None else code.resume(state, result)
-            else:
-                req = next(gen) if after is None else gen.send(result)
-        except StopIteration:
-            return None, state
-        except Exception as exc:  # body fault: the crash-finding path
-            raise BodyCrash(tid, exc) from exc
-        return self._surfaced(req), state
-
-    def rewind(self, tid: ThreadId) -> None:
-        """Drop a host thread's generator so that it can start afresh."""
-        self._generators.pop(tid, None)
+            return None
+        if entry is None:
+            self._ensured = ensured = []
+            try:
+                t = surfaced_transition(tid, op, state, self)
+            finally:
+                self._ensured = None
+            t.serial, t.relations = len(self.transitions), {}
+            entry = self.transitions[key] = (t, tuple(ensured))
+        return entry
 
     def _surfaced(self, req: Optional[OpRequest]) -> Optional[OpRequest]:
-        """The enqueue half of a wait request that the context's policy
+        """The enqueue half of a wait request that this context's policy
         splits, otherwise the request itself."""
         if req is None or req.kind not in prim.WAIT_SPLITS:
             return req
@@ -371,20 +382,74 @@ class RuntimeSession:
             first = req
             fused_kind = prim.FUSED_WAITS.get(req.kind)
             if (fused_kind is None
-                    or self.ctx.policy_for(fused_kind, req.object_name) != prim.ARB_FUSED):
+                    or self.policy_for(fused_kind, req.object_name) != prim.ARB_FUSED):
                 first = replace(req, kind=prim.WAIT_SPLITS[req.kind][0])
             self._first_half[req] = first
         return first
 
     def _finish_of(self, req: Optional[OpRequest]) -> Optional[OpRequest]:
         """The finish half that follows `req`, if it is an enqueue half."""
-        kind = self._finish_kinds.get(req.kind) if req is not None else None
+        kind = _FINISH_KINDS.get(req.kind) if req is not None else None
         if kind is None:
             return None
         finish = self._finish_half.get(req)
         if finish is None:
             finish = self._finish_half[req] = replace(req, kind=kind)
         return finish
+
+
+_FINISH_KINDS = dict(prim.WAIT_SPLITS.values())   # enqueue half kind -> finish half kind
+
+
+def _step_key(tid: ThreadId, body_state, after: Optional[Transition], result):
+    """The key of a compiled thread's step in `BuildContext.steps`, None for
+    one past a transition that is not interned.  A start depends on the
+    thread alone; any other step on the transition it resumes past (its
+    serial names the thread too), the body state and the result, each with
+    the types of its values."""
+    if after is None:
+        return tid
+    if after.serial is None:
+        return None
+    return (after.serial, body_state, result, type(result),
+            tuple(map(type, body_state)) if type(body_state) is tuple else type(body_state))
+
+
+# ---------------------------------------------------------------------------
+# Sessions
+# ---------------------------------------------------------------------------
+
+
+class RuntimeSession:
+    """Resumes the host-generator bodies of one execution attempt.
+
+    A compiled thread resumes from the body state its snapshot holds,
+    through the build context, so the session keeps nothing for it.  A host
+    thread is a live generator, owned here, that cannot be rewound: it
+    starts once, and again only after `rewind`.
+    """
+
+    def __init__(self, program: Program, ctx: BuildContext):
+        self.program = program
+        self.ctx = ctx
+        self.host_threads = frozenset(
+            tid for tid, code in enumerate(program.codes) if code is None)
+        self._generators: dict = {}
+
+    def resume(self, tid: ThreadId, after: Optional[Transition] = None,
+               result=None) -> Optional[OpRequest]:
+        """Host thread `tid`'s next request (`BuildContext.next_request`):
+        its first when `after` is None, else the one after its step `after`,
+        which returned `result`."""
+        if after is None:
+            if tid in self._generators:
+                raise ProgramError(f"thread {tid} spawned twice")
+            self._generators[tid] = self.program.body_factory(tid)()
+        return self.ctx.next_request(tid, None, after, result, self._generators[tid])[0]
+
+    def rewind(self, tid: ThreadId) -> None:
+        """Drop a host thread's generator so that it can start afresh."""
+        self._generators.pop(tid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +496,7 @@ def initial_state(program: Program, session: RuntimeSession,
     for decl in program.declarations:
         if decl.kind == "var":
             state.shared_vars[decl.name] = decl.attrs.get("init", 0)
-    main = state.threads[0]
-    op, main.body_state = session.resume(0)
-    main.pending = ctx.transition(0, op, state)
+    _resume_into(state, 0, None, None, session, ctx)
     return state
 
 
@@ -441,8 +504,8 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
                         ctx: BuildContext) -> Transition:
     """A new build of the pending transition for a request a body surfaced,
     which keeps the request; a body that returned (`op` None) has its exit
-    step pending.  The search and replays take it from
-    `BuildContext.transition`, which builds each one once."""
+    step pending.  Compiled threads take it from `BuildContext.resume`,
+    which builds each one once."""
     if op is None:
         return prim.ThreadExit(tid)
     t = build_transition(tid, op, state, ctx)
@@ -484,17 +547,28 @@ def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
     if t.kind != "exit":
         new_state.threads[tid].executed += 1
     for body, after in moved_bodies(t):
-        info = new_state.threads[body]
         try:
-            op, info.body_state = session.resume(body, info.body_state, after, result)
+            _resume_into(new_state, body, after, result, session, ctx)
         except BodyCrash as crash:
             findings.append(Finding("crash", str(crash)))
+            info = new_state.threads[body]
             info.status = EXITED
             info.pending = None
-        else:
-            info.pending = ctx.transition(body, op, new_state)
 
     return StepOutcome(new_state, t, findings)
+
+
+def _resume_into(state: ModelState, tid: ThreadId, after: Optional[Transition], result,
+                session: RuntimeSession, ctx: BuildContext) -> None:
+    """Resume thread `tid` past its step `after` (None: start it), which
+    returned `result`, and install its new body state and pending
+    transition in `state`, an owned snapshot.  A compiled thread steps
+    through the context's memo; a host thread's request is built anew."""
+    info = state.threads[tid]
+    if tid in session.host_threads:
+        info.pending = surfaced_transition(tid, session.resume(tid, after, result), state, ctx)
+    else:
+        info.body_state, info.pending = ctx.resume(tid, info.body_state, after, result, state)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +593,9 @@ class ReplayCursor:
 
     Each `step` checks that the body surfaces exactly the recorded operation
     and that it is enabled in the current state; any divergence raises
-    NondeterminismDetected with the offending step index.
+    NondeterminismDetected with the offending step index.  A compiled
+    thread's step that the build context has memoized is not run again, but
+    the pending transition it installs is checked the same way.
     """
 
     def __init__(self, program: Program, policy_overrides=None, max_spurious=0,

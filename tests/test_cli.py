@@ -17,6 +17,7 @@ from permute.cli import (
     verify_trace,
 )
 from permute.corpus import corpus_path
+from permute.scenario import ThreadCode
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +66,12 @@ def test_check_missing_file_and_parse_error(tmp_path, capsys):
     bad.write_text("mutex m\nthread t { lock q; }\n")
     code, _, err = run_cli(capsys, "check", str(bad))
     assert code == 2 and "undeclared" in err
+
+
+def test_check_rejects_negative_spurious_bound(tmp_path, capsys):
+    _one_error_line(*run_cli(capsys, "check", str(corpus_path("simple_barrier_10")),
+                             "--max-spurious-wakeups", "-1", "--trace-dir", str(tmp_path)))
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -157,6 +164,11 @@ def test_a_second_verify_of_a_trace_builds_no_transition(tmp_path, capsys, monke
     build = runtime.build_transition
     monkeypatch.setattr(runtime, "build_transition",
                         lambda *args: builds.append(args) or build(*args))
+    # Nor does it run a scenario thread's code: every step is memoized.
+    for name in ("start", "resume"):
+        method = getattr(ThreadCode, name)
+        monkeypatch.setattr(ThreadCode, name,
+                            lambda *args, method=method: builds.append(args) or method(*args))
     verify_trace(path)
     assert builds
     builds.clear()
@@ -323,6 +335,7 @@ def test_replay_rejects_unknown_config_key(tmp_path, capsys):
     ("policy_overrides", "5"),
     ("policy_overrides", '{"mutex": "sometimes"}'),
     ("max_spurious_wakeups", '"x"'),
+    ("max_spurious_wakeups", "-1"),
     ("max_depth_per_thread", "true"),
     ("sleep_sets_enabled", "1"),
 ])

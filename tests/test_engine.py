@@ -42,7 +42,7 @@ from permute.runtime import (
     schedule_step,
     surfaced_transition,
 )
-from permute.scenario import instantiate, parse_scenario
+from permute.scenario import ThreadCode, instantiate, parse_scenario
 
 from full_scan import use_full_scans
 from oracle import brute_force, reachable_states
@@ -361,6 +361,7 @@ def test_fresh_assert_closure_per_build_is_not_a_divergence():
     search = engine._Search(program(), ExplorationConfig())
     assert search.run() == report
     assert search.ctx.transitions == {}
+    assert search.ctx.steps == {}
 
 
 class _Script:
@@ -418,6 +419,27 @@ def test_equal_payloads_of_other_types_stay_apart(compiled):
     ]
 
 
+def _mixed_reads():
+    # A compiled thread reads equal values of two types that a host thread
+    # writes, keeps the value in a local across two steps and writes it.
+    reader = scenario("var x = 0\nvar y = 0\nmutex m\n"
+                      "thread r { v = read x; lock m; unlock m; write y v; }")
+    main = [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")]
+    return Program([("main", _body_of(main)),
+                    ("w", _body_of([ops.write("x", True), ops.write("x", 1)])),
+                    reader.threads[1]],
+                   reader.declarations, [_Script(main), None, reader.codes[1]])
+
+
+def test_memoized_steps_keep_equal_values_of_other_types_apart():
+    # The steps that deliver True and 1 to the reader, and the ones that
+    # resume it with either in its local, are different steps.
+    traces = []
+    explore(_mixed_reads(), observer=traces.append)
+    assert {f"{step.label}:{step.payload}" for tr in traces for step in tr.schedule
+            if step.tid == 2 and step.label == "write"} == {"write:0", "write:1", "write:True"}
+
+
 def test_each_distinct_request_is_built_once_per_check(monkeypatch):
     builds = collections.Counter()
     build = runtime.build_transition
@@ -430,6 +452,26 @@ def test_each_distinct_request_is_built_once_per_check(monkeypatch):
     explore(scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
             ExplorationConfig(max_depth_per_thread=16))
     assert builds and max(builds.values()) == 1
+
+
+def _exact(value):
+    """`value` with the types of its items (or its own type), so that equal
+    values of other types compare apart."""
+    return value, (tuple(map(type, value)) if type(value) is tuple else type(value))
+
+
+def test_each_distinct_body_step_runs_once_per_check(monkeypatch):
+    resumes = collections.Counter()
+    resume = ThreadCode.resume
+
+    def counted(code, state, result=None):
+        resumes[id(code), _exact(state), _exact(result)] += 1
+        return resume(code, state, result)
+
+    monkeypatch.setattr(ThreadCode, "resume", counted)
+    explore(scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
+            ExplorationConfig(max_depth_per_thread=16))
+    assert resumes and max(resumes.values()) == 1
 
 
 # -- incremental analysis ----------------------------------------------------------------
@@ -615,24 +657,27 @@ def _assert_enabledness_within_footprint(pre, outcome):
 
 
 class _AuditedContext(BuildContext):
-    """A build context that checks every transition it hands out against a
-    new build of the same request on a copy of the same state: the shared
-    transition must be the one a build would make, with the same stored
-    search attributes, and the state must already hold every object the
-    build ensures."""
+    """A build context that checks every step of a compiled thread it hands
+    out, memoized or not, against a fresh resume and build of the same step
+    on a copy of the same state: the body state must be the one the fresh
+    resume reaches, with values of the same types, the shared transition
+    the one a build would make, with the same stored search attributes,
+    and the state must already hold every object the build ensures."""
 
-    def transition(self, tid, op, state):
-        t = super().transition(tid, op, state)
+    def resume(self, tid, body_state, after, result, state):
+        body_after, t = super().resume(tid, body_state, after, result, state)
+        op, fresh_after = self.next_request(tid, body_state, after, result)
         scratch = ModelState(dict(state.objects), state.threads, state.shared_vars,
                              state.spurious_used)
         fresh = surfaced_transition(tid, op, scratch, self)
         assert scratch.objects.keys() == state.objects.keys(), f"{t}: an object is missing"
+        assert _exact(body_after) == _exact(fresh_after), f"{t}: {body_after} / {fresh_after}"
         fresh_keys = fresh.footprint()
         assert ((type(t), schedule_step(t), t.keys, t.sleep_key, t.thread_target)
                 == (type(fresh), schedule_step(fresh),
                     None if fresh_keys is None else tuple(fresh_keys),
                     fresh.triple(), fresh.thread_target)), f"{t} / {fresh}"
-        return t
+        return body_after, t
 
 
 def _assert_memo_holds(ctx):
@@ -711,6 +756,9 @@ def test_footprints_cover_every_dependence_in_the_corpus():
 @pytest.mark.parametrize("kw", AUDIT_CONFIGS)
 def test_shared_transitions_keep_payload_types_apart(kw):
     # The corpus writes integers only, so the audit in `_transitions_seen`
-    # also walks a compiled thread that writes equal values of other types:
-    # each surfaced write must print as a new build of it would.
+    # also walks a compiled thread that writes equal values of other types,
+    # and one that reads them: each surfaced write must print as a new build
+    # of it would, and each memoized step reach the body state a fresh
+    # resume would.
     assert _transitions_seen(_mixed_writes(True), ExplorationConfig(**kw))
+    assert _transitions_seen(_mixed_reads(), ExplorationConfig(**kw))
