@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import operator
 from typing import Optional
 
 ThreadId = int
@@ -45,7 +47,9 @@ class VisibleObject:
 
     kind = "object"
     __slots__ = ("oid", "name")
-    _copied_slots = __slots__   # every slot along the MRO, set per subclass
+    # Every slot along the MRO, and a getter of their values; set per subclass.
+    _copied_slots = __slots__
+    _slot_values = operator.attrgetter(*__slots__)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -55,6 +59,7 @@ class VisibleObject:
             slots.extend((declared,) if isinstance(declared, str) else declared)
         cls._copied_slots = tuple(name for name in slots
                                   if name not in ("__dict__", "__weakref__"))
+        cls._slot_values = operator.attrgetter(*cls._copied_slots)
 
     def __init__(self, oid: ObjectId, name: str):
         self.oid = oid
@@ -85,8 +90,56 @@ class VisibleObject:
         """Canonical, order-stable summary of the object state."""
         raise NotImplementedError
 
+    def content_key(self) -> tuple:
+        """A key equal for two objects only when they are of one class and
+        hold equal values of the same types, at any depth, in every slot
+        that `clone` copies and in any instance attribute.  `marshal` writes
+        each value of a builtin type with its exact type and refuses any
+        other type; then the values are keyed by `exact_key`.  Raises
+        TypeError when a value can be neither written nor hashed."""
+        values = self._slot_values(self)
+        if hasattr(self, "__dict__"):
+            values += (tuple(sorted(self.__dict__.items())),)
+        try:
+            return type(self), marshal.dumps(values, 2)
+        except ValueError:   # a value of a type marshal does not write
+            return type(self), tuple(map(_exact_field, values))
+
 
 _CONTAINERS = (list, set, dict)
+
+
+def exact_key(value):
+    """A hashable stand-in for a hashable `value`, equal to another's only
+    when the two values are equal with the same types throughout: 1, True
+    and 1.0 stay apart, also inside tuples and frozensets, at any depth.  A
+    flat tuple, one without items of an `EXACT_NESTING` type, is the common
+    case: its key is the tuple and the types of its items."""
+    kind = type(value)
+    if kind is tuple:
+        types = tuple(map(type, value))
+        if EXACT_NESTING.isdisjoint(types):
+            return value, types
+        return tuple, tuple(map(exact_key, value))
+    if kind is frozenset:
+        return frozenset, frozenset(map(exact_key, value))
+    return value, kind
+
+
+EXACT_NESTING = frozenset((tuple, frozenset))   # the types `exact_key` looks into
+
+
+def _exact_field(value):
+    """`exact_key` of an object field with its type, a list, set or dict
+    taken as the tuple, frozenset or tuple of items it holds."""
+    kind = type(value)
+    if kind is list:
+        value = tuple(value)
+    elif kind is set:
+        value = frozenset(value)
+    elif kind is dict:
+        value = tuple(value.items())
+    return kind, exact_key(value)
 
 
 class _TransitionType(type):
@@ -120,7 +173,8 @@ class Transition(metaclass=_TransitionType):
     A transition is an immutable value: the runtime builds one per distinct
     request of a thread and check, and every branch of the search shares it.
     Its footprint, sleep-set triple and object key are therefore computed
-    once, when it is constructed, and stored (`seal`).
+    once, when it is constructed, and stored (`seal`); so is the schedule
+    step that shows it, on first use (`runtime.schedule_step`).
     """
 
     kind = "op"
@@ -133,9 +187,10 @@ class Transition(metaclass=_TransitionType):
     # `seal`.  serial, relations: when the runtime shares this transition,
     # its number among the ones its build context shares and the engine's
     # memo of its relations with them, by their serial (None otherwise).
+    # schedule: the `runtime.ScheduleStep` showing it, None until formatted.
     __slots__ = ("executor", "oid", "object_name", "payload", "thread_target",
                  "request", "keys", "key_set", "sleep_key", "obj_key", "serial",
-                 "relations")
+                 "relations", "schedule")
 
     def __init__(self, executor: ThreadId, oid: Optional[ObjectId] = None,
                  object_name: Optional[str] = None, payload: tuple = ()):
@@ -154,7 +209,7 @@ class Transition(metaclass=_TransitionType):
         self.key_set = None if keys is None else frozenset(self.keys)
         self.obj_key = self.object_key()
         self.sleep_key = self.triple()
-        self.serial = self.relations = None
+        self.serial = self.relations = self.schedule = None
 
     @classmethod
     def build(cls, tid: ThreadId, req, state: "ModelState", ctx) -> "Transition":
@@ -191,7 +246,9 @@ class Transition(metaclass=_TransitionType):
         It may write the objects its footprint names (any, under the
         wildcard), the threads of its executor and `thread_target`, the
         shared variables and the spurious-wakeup counts; the rest of `s` is
-        shared with the pre-state."""
+        shared with the pre-state.  It may read only `s` and this
+        transition: the search reuses a step's successor for every state
+        equal to its pre-state (`engine.SuccessorMemo`)."""
 
     # -- optional hooks ----------------------------------------------------
 

@@ -49,6 +49,16 @@ The work per step follows what the step changed:
   they are dependent and co-enabled (used by the backtrack scan).  The
   footprint, its key set and the sleep-set triple are read from the values
   stored when the transition was built (`Transition.seal`).
+- Each distinct step of the search runs once, when no thread is a host
+  generator: `SuccessorMemo` keeps, for the first `SUCCESSOR_MEMO_STATES`
+  distinct states of a search, the outcome of each step taken from them,
+  and a repeat takes the recorded successor instead of executing the step.
+  The bound keeps the search's memory bounded, as a stateless search's is.
+  This is not visited-state pruning, which would need the treatment of
+  Yang et al. (SPIN 2008) to stay sound with sleep sets: every frame is
+  still explored with its own backtrack and sleep sets, and only the
+  computing of its state is skipped.  The memo's states are hash-consed,
+  so on them the identity tests above on thread entries are content tests.
 
 Backtracking restores model state from the frame snapshots.  A compiled
 body -- every scenario thread -- keeps its state in the snapshot too, so
@@ -65,6 +75,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -77,6 +88,7 @@ from .core import (
     Transition,
     coenabled,
     dependent,
+    exact_key,
     fingerprint,
     happens_before,
 )
@@ -87,6 +99,7 @@ from .runtime import (
     NondeterminismDetected,
     Program,
     RuntimeSession,
+    StepOutcome,
     execute_step,
     initial_state,
     moved_bodies,
@@ -337,10 +350,10 @@ def _same_request(op, recorded) -> bool:
     `recorded` without building it.  A build takes the kind, object name
     and payload a schedule step shows from its request alone, so an equal
     request surfaces an equal step; payload values must also match in type,
-    since equal values of different types (1, 1.0, True) print apart."""
+    at any depth, since equal values of different types (1, 1.0, True)
+    print apart."""
     return op is not None and (op is recorded or (
-        op == recorded
-        and all(type(a) is type(b) for a, b in zip(op.payload, recorded.payload))))
+        op == recorded and exact_key(op.payload) == exact_key(recorded.payload)))
 
 
 def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
@@ -360,6 +373,167 @@ def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
     return DEADLOCK
 
 
+# The most states the successor memo of one search admits.  The memo holds
+# about 1.2 KB per state (its tables and edges and the parts it brings, by
+# tracemalloc on reader_two_writers_cond), while the rest of a search's
+# memory follows its depth; with a bound, the memo adds a fixed amount,
+# whatever the size of the state space.  This one holds every state of the
+# corpus's short checks (at most 271, sem_wakeup_order under lifo).
+SUCCESSOR_MEMO_STATES = 512
+
+
+class SuccessorMemo:
+    """The outcome of each step one search takes from an admitted state.
+
+    Stateless search reaches the same state along many schedules and runs
+    the same steps from it each time.  When every thread is compiled, a step
+    is a pure function of its pre-state and thread, so the memo runs it once
+    and hands the recorded outcome to every repeat.  It prunes nothing: the
+    search explores every frame it would explore without it, with the same
+    backtrack and sleep sets, and only skips computing a successor it has
+    computed before.  A host generator body cannot be skipped or rewound, so
+    no state of a program with host threads is admitted, and all its steps
+    run.
+
+    Admitted states are hash-consed.  Each part of one -- an object, a
+    thread entry, the variable table, the spurious-wakeup table -- is the
+    one canonical part with its content, and the state is the one admitted
+    state with its parts.  Contents are keyed type-exactly: an object by
+    `VisibleObject.content_key`, a table by `exact_key` of each value, and a
+    thread entry by its status, step count, pending transition and body
+    state, the last two by identity, since the build context hands out one
+    object per distinct transition and body state of a compiled thread.
+    Equal content is then the same object, so the search's identity tests
+    on thread entries (`_Search._init_frame`) stay exact content tests when
+    a recorded successor was first reached from another parent.  A
+    successor is keyed from its parent's parts: only the parts its step
+    copied are keyed anew.
+
+    At most `SUCCESSOR_MEMO_STATES` states are admitted.  Past that, a step
+    from an admitted state still records a successor equal to an admitted
+    state, a new successor is left out, and a step from a state that is not
+    admitted runs as it would without the memo.
+    """
+
+    __slots__ = ("states", "admitted", "edges", "objects", "threads",
+                 "variables", "spurious")
+
+    def __init__(self):
+        self.states: dict = {}     # key of the parts -> admitted state
+        self.admitted: dict = {}   # admitted state -> its fingerprint, None until asked
+        self.edges: dict = {}      # (admitted state, thread) -> StepOutcome
+        # Content key -> canonical part, one table per kind of part.
+        self.objects: dict = {}
+        self.threads: dict = {}
+        self.variables: dict = {}
+        self.spurious: dict = {}
+
+    def admit(self, state: ModelState) -> None:
+        """Admit the root state of a search, if there is room."""
+        self._intern(state, None, None)
+
+    def step(self, session: RuntimeSession, state: ModelState, tid: ThreadId,
+             ctx: BuildContext) -> StepOutcome:
+        """`execute_step(session, state, tid, ctx)` for an admitted `state`,
+        run once per thread; its outcome's state is the admitted one when
+        there is one.  A caller runs a step from any other state itself."""
+        edge = (state, tid)
+        outcome = self.edges.get(edge)
+        if outcome is None:
+            outcome = execute_step(session, state, tid, ctx)
+            successor = self._intern(outcome.state, state, outcome.transition)
+            if successor is not None:
+                outcome.state = successor
+                self.edges[edge] = outcome
+        return outcome
+
+    def fingerprint(self, state: ModelState) -> str:
+        """`fingerprint(state)`, computed once per admitted state."""
+        fp = self.admitted.get(state)
+        if fp is None:
+            fp = fingerprint(state)
+            if state in self.admitted:
+                self.admitted[state] = fp
+        return fp
+
+    def _intern(self, s: ModelState, parent: Optional[ModelState],
+                t: Optional[Transition]) -> Optional[ModelState]:
+        """The admitted state equal to `s`, the successor by step `t` of
+        admitted `parent` (None: a root), which shares every part `t` did
+        not copy: an admitted one, else `s` itself, made of canonical parts
+        and admitted if there is room, else None.  Parts new to the memo
+        join it only with a state, so the part tables stay bounded too."""
+        root = parent is None
+        if root:
+            parent = _EMPTY_STATE
+        objects, threads = s.objects, s.threads
+        parent_objects, parent_threads = parent.objects, parent.threads
+        # The parts to key anew: what `ModelState.successor` copied for `t`,
+        # and the objects the bodies it resumed created; everything else is
+        # the parent's.  The loops skip a part still shared with the parent.
+        copied_objects, copied_threads = objects, threads
+        if not root and t.keys is not None:
+            copied_threads = (t.executor, t.thread_target)
+            if len(objects) == len(parent_objects):
+                copied_objects = t.keys
+        fresh: dict = {}   # the parts new to the memo, by table and key
+        try:
+            for oid in copied_objects:
+                obj = objects.get(oid)
+                if obj is not None and obj is not parent_objects.get(oid):
+                    objects[oid] = _canonical(self.objects, obj.content_key(), obj, fresh)
+            for tid in copied_threads:
+                info = threads.get(tid)
+                if info is not None and info is not parent_threads.get(tid):
+                    key = (info.status, info.pending, info.executed, id(info.body_state))
+                    threads[tid] = _canonical(self.threads, key, info, fresh)
+            variables = _canonical_table(self.variables, s.shared_vars,
+                                         None if root else parent.shared_vars, fresh)
+            spurious = _canonical_table(self.spurious, s.spurious_used,
+                                        None if root else parent.spurious_used, fresh)
+            if len(objects) != len(parent_objects):
+                objects = dict(sorted(objects.items()))   # admitted states keep oid order
+            key = (tuple(objects.values()), tuple(threads.values()), id(variables), id(spurious))
+            known = None if fresh else self.states.get(key)
+        except TypeError:   # an unhashable value
+            return None
+        if known is not None:
+            return known
+        if len(self.states) >= SUCCESSOR_MEMO_STATES:
+            return None
+        for table, part_key, part in fresh.values():
+            table[part_key] = part
+        s.objects, s.shared_vars, s.spurious_used = objects, variables, spurious
+        self.states[key] = s
+        self.admitted[s] = None
+        return s
+
+
+_EMPTY_STATE = ModelState()
+
+
+def _canonical(table: dict, key, part, fresh: dict):
+    """The canonical part with content `key`: the one `table` holds, else
+    the first part with that content in the state being keyed, noted in
+    `fresh`."""
+    known = table.get(key)
+    if known is None:
+        known = fresh.setdefault((id(table), key), (table, key, part))[2]
+    return known
+
+
+def _canonical_table(tables: dict, table: dict, parent_table: Optional[dict],
+                     fresh: dict) -> dict:
+    """The canonical variable or spurious-count table equal to `table`, by
+    `_canonical` from `tables`: `parent_table` when that holds the very same
+    values."""
+    if (parent_table is not None and table == parent_table
+            and all(map(operator.is_, table.values(), parent_table.values()))):
+        return parent_table
+    key = tuple((name, exact_key(value)) for name, value in table.items())
+    return _canonical(tables, key, table, fresh)
+
+
 class _Search:
     def __init__(self, program: Program, config: ExplorationConfig,
                  trace_sink: Optional[Callable] = None,
@@ -373,6 +547,9 @@ class _Search:
                                 config.max_spurious_wakeups)
         self.session = RuntimeSession(program, self.ctx)
         state0 = initial_state(program, self.session, self.ctx)
+        self.memo = SuccessorMemo()
+        if not self.session.host_threads:   # a host body runs every step it takes
+            self.memo.admit(state0)
         self.stack = [StackEntry(state0, {}, {0: EMPTY_CLOCK})]
         self.trace: list = []
         self.step_clocks: list = []
@@ -411,7 +588,7 @@ class _Search:
         interesting = verdict in (DEADLOCK, STOPPED_ON_FAILURE) or bool(findings)
         if self.observer is not None or (self.trace_sink is not None and
                                          (self.config.keep_all_traces or interesting)):
-            result = TraceResult(idx, verdict, fingerprint(end_state),
+            result = TraceResult(idx, verdict, self.memo.fingerprint(end_state),
                                  [schedule_step(t) for t in self.trace],
                                  list(findings))
             if self.observer is not None:
@@ -641,7 +818,11 @@ class _Search:
                               if body in host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
-        outcome = execute_step(self.session, frame.pre_state, tid, self.ctx)
+        state = frame.pre_state
+        if state in self.memo.admitted:
+            outcome = self.memo.step(self.session, state, tid, self.ctx)
+        else:
+            outcome = execute_step(self.session, state, tid, self.ctx)
         t = outcome.transition
         frame.chosen = tid
         frame.done.add(tid)

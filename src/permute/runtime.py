@@ -34,6 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
     EMBRYO,
+    EXACT_NESTING,
     EXITED,
     RUNNABLE,
     TRANSITION_CLASSES,
@@ -42,6 +43,7 @@ from .core import (
     ThreadInfo,
     ThreadId,
     Transition,
+    exact_key,
 )
 from . import primitives as prim
 
@@ -222,8 +224,10 @@ class BuildContext:
       result, so the context runs it once; every later step with an equal
       key, on any branch and in every replay that shares the context,
       installs the recorded body state and pending transition.  Keys are
-      type-exact: `1`, `True` and `1.0` stay apart, in the result and in
-      the body state.
+      type-exact (`core.exact_key`): `1`, `True` and `1.0` stay apart, in
+      the result and in the body state, at any depth.  Body states are
+      interned by the same keys, so equal body states that `resume` hands
+      out are one object.
     - The intern table.  Each distinct request of each compiled thread is
       built once, and every later surfacing of an equal request shares the
       transition.  A build may read only the request, this context and the
@@ -247,12 +251,16 @@ class BuildContext:
         self.policy_overrides = dict(policy_overrides or {})
         self.max_spurious = max_spurious
         self.decls = {d.name: d for d in program.declarations}
-        # (thread, request, payload types) -> (transition, objects it ensured),
-        # each transition numbered by its `serial`, in insertion order.
+        # (thread, request, `exact_key` of its payload) -> (transition,
+        # objects it ensured), each transition numbered by its `serial`, in
+        # insertion order.
         self.transitions: dict = {}
         # step key (`_step_key`) -> (body state after, `transitions` entry of
         # the pending transition there).
         self.steps: dict = {}
+        # `exact_key` -> the one body state with that content that `resume`
+        # hands out, so that equal body states are one object.
+        self.body_states: dict = {}
         self._ensured: Optional[list] = None   # the log of the build under way
         self._first_half: dict = {}    # wait request -> the part surfaced first
         self._finish_half: dict = {}   # enqueue half -> its finish half
@@ -311,6 +319,10 @@ class BuildContext:
             key = step = None
         if step is None:
             op, body_state = self.next_request(tid, body_state, after, result)
+            try:
+                body_state = self.body_states.setdefault(exact_key(body_state), body_state)
+            except TypeError:   # an unhashable body state
+                pass
             entry = self._interned(tid, op, state)
             if entry is None:
                 return body_state, surfaced_transition(tid, op, state, self)
@@ -355,10 +367,10 @@ class BuildContext:
         """The `transitions` entry of the transition for request `op` that
         compiled thread `tid` surfaced in `state`, built on first sight;
         None for an unhashable request.  Equal requests whose payload values
-        differ in type (1, 1.0, True) print apart, so they are interned
-        apart."""
+        differ in type (1, 1.0, True), at any depth, print apart, so they
+        are interned apart."""
         try:
-            key = (tid, op) if op is None else (tid, op, tuple(map(type, op.payload)))
+            key = (tid, op) if op is None else (tid, op, exact_key(op.payload))
             entry = self.transitions.get(key)
         except TypeError:   # an unhashable payload, such as a list
             return None
@@ -406,13 +418,17 @@ def _step_key(tid: ThreadId, body_state, after: Optional[Transition], result):
     one past a transition that is not interned.  A start depends on the
     thread alone; any other step on the transition it resumes past (its
     serial names the thread too), the body state and the result, each with
-    the types of its values."""
+    the types of its values (`core.exact_key`)."""
     if after is None:
         return tid
     if after.serial is None:
         return None
-    return (after.serial, body_state, result, type(result),
-            tuple(map(type, body_state)) if type(body_state) is tuple else type(body_state))
+    if type(body_state) is tuple and type(result) not in EXACT_NESTING:
+        types = tuple(map(type, body_state))
+        if EXACT_NESTING.isdisjoint(types):
+            # `exact_key` of both, inlined for the common flat case.
+            return after.serial, body_state, types, result, type(result)
+    return after.serial, exact_key(body_state), exact_key(result)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +600,14 @@ class ScheduleStep(NamedTuple):
 
 
 def schedule_step(t: Transition) -> ScheduleStep:
-    payload = " ".join(str(p) for p in t.payload)
-    return ScheduleStep(t.executor, t.kind, t.object_name or "-", payload or "-")
+    """How a schedule shows `t`: formatted on first use and kept on the
+    transition, which is immutable once built."""
+    step = t.schedule
+    if step is None:
+        payload = " ".join(str(p) for p in t.payload)
+        step = t.schedule = ScheduleStep(t.executor, t.kind, t.object_name or "-",
+                                         payload or "-")
+    return step
 
 
 class ReplayCursor:

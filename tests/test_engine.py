@@ -12,8 +12,10 @@ from permute.core import (
     ClockVector,
     ModelState,
     ThreadInfo,
+    Transition,
     coenabled,
     dependent,
+    exact_key,
 )
 from permute import engine, runtime
 from permute import primitives as prim
@@ -38,6 +40,7 @@ from permute.runtime import (
     ObjectDecl,
     Program,
     ReplayCursor,
+    ScheduleStep,
     ops,
     schedule_step,
     surfaced_transition,
@@ -45,7 +48,7 @@ from permute.runtime import (
 from permute.scenario import ThreadCode, instantiate, parse_scenario
 
 from full_scan import use_full_scans
-from oracle import brute_force, reachable_states
+from oracle import brute_force, reachable_states, state_key
 
 
 def scenario(text):
@@ -362,6 +365,8 @@ def test_fresh_assert_closure_per_build_is_not_a_divergence():
     assert search.run() == report
     assert search.ctx.transitions == {}
     assert search.ctx.steps == {}
+    # Nor does the successor memo take a host program's steps.
+    assert not search.memo.states and not search.memo.edges
 
 
 class _Script:
@@ -419,25 +424,56 @@ def test_equal_payloads_of_other_types_stay_apart(compiled):
     ]
 
 
-def _mixed_reads():
+_READER = ("var x = 0\nvar y = 0\nmutex m\n"
+           "thread r { v = read x; lock m; unlock m; write y v; }")
+
+
+def _mixed_reads(first=True, second=1):
     # A compiled thread reads equal values of two types that a host thread
     # writes, keeps the value in a local across two steps and writes it.
-    reader = scenario("var x = 0\nvar y = 0\nmutex m\n"
-                      "thread r { v = read x; lock m; unlock m; write y v; }")
+    reader = scenario(_READER)
     main = [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")]
     return Program([("main", _body_of(main)),
-                    ("w", _body_of([ops.write("x", True), ops.write("x", 1)])),
+                    ("w", _body_of([ops.write("x", first), ops.write("x", second)])),
                     reader.threads[1]],
                    reader.declarations, [_Script(main), None, reader.codes[1]])
+
+
+def _racing_writes():
+    # Compiled threads a and b write equal values of two types to x, and
+    # the compiled reader of `_mixed_reads` copies x to y: once both writers
+    # exited, two states differ only in the type of x.
+    reader = scenario(_READER)
+    main = [ops.create("a"), ops.create("b"), ops.create("r"),
+            ops.join("a"), ops.join("b"), ops.join("r")]
+    writers = {"a": [ops.write("x", True)], "b": [ops.write("x", 1)]}
+    return Program([("main", _body_of(main))]
+                   + [(name, _body_of(requests)) for name, requests in writers.items()]
+                   + [reader.threads[1]],
+                   reader.declarations,
+                   [_Script(main)] + [_Script(requests) for requests in writers.values()]
+                   + [reader.codes[1]])
+
+
+def _reader_writes(program):
+    traces = []
+    explore(program, observer=traces.append)
+    reader = program.tid_of["r"]
+    return {f"{step.label}:{step.payload}" for tr in traces for step in tr.schedule
+            if step.tid == reader and step.label == "write"}
 
 
 def test_memoized_steps_keep_equal_values_of_other_types_apart():
     # The steps that deliver True and 1 to the reader, and the ones that
     # resume it with either in its local, are different steps.
-    traces = []
-    explore(_mixed_reads(), observer=traces.append)
-    assert {f"{step.label}:{step.payload}" for tr in traces for step in tr.schedule
-            if step.tid == 2 and step.label == "write"} == {"write:0", "write:1", "write:True"}
+    assert _reader_writes(_mixed_reads()) == {"write:0", "write:1", "write:True"}
+
+
+def test_memoized_steps_keep_nested_values_of_other_types_apart():
+    # The same, one level down: the values are tuples whose items differ
+    # in type.
+    assert _reader_writes(_mixed_reads((True, 2), (1, 2))) == {
+        "write:0", "write:(1, 2)", "write:(True, 2)"}
 
 
 def test_each_distinct_request_is_built_once_per_check(monkeypatch):
@@ -454,24 +490,75 @@ def test_each_distinct_request_is_built_once_per_check(monkeypatch):
     assert builds and max(builds.values()) == 1
 
 
-def _exact(value):
-    """`value` with the types of its items (or its own type), so that equal
-    values of other types compare apart."""
-    return value, (tuple(map(type, value)) if type(value) is tuple else type(value))
-
-
 def test_each_distinct_body_step_runs_once_per_check(monkeypatch):
     resumes = collections.Counter()
     resume = ThreadCode.resume
 
     def counted(code, state, result=None):
-        resumes[id(code), _exact(state), _exact(result)] += 1
+        resumes[id(code), exact_key(state), exact_key(result)] += 1
         return resume(code, state, result)
 
     monkeypatch.setattr(ThreadCode, "resume", counted)
     explore(scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
             ExplorationConfig(max_depth_per_thread=16))
     assert resumes and max(resumes.values()) == 1
+
+
+def test_each_distinct_step_of_a_search_is_applied_once(monkeypatch):
+    # Every schedule of cond_broadcast_fan runs through a few hundred
+    # distinct (pre-state, thread) steps, thousands of times over; each is
+    # applied once, and every repeat takes the recorded successor.
+    applies = collections.Counter()
+    apply_to = Transition.apply_to
+
+    def counted(t, state):
+        applies[state_key(state), t.executor] += 1
+        return apply_to(t, state)
+
+    monkeypatch.setattr(Transition, "apply_to", counted)
+    report = explore(scenario(open("src/permute/corpus/cond_broadcast_fan.scn").read()))
+    assert report.total_transitions > 10 * len(applies)
+    assert applies and max(applies.values()) == 1
+
+
+def test_successor_memo_holds_at_most_its_bound():
+    search = engine._Search(
+        scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
+        ExplorationConfig(max_depth_per_thread=16))
+    search.run()
+    memo, bound = search.memo, engine.SUCCESSOR_MEMO_STATES
+    # The search reaches thousands of states: the memo fills and stops.
+    assert len(memo.states) == len(memo.admitted) == bound
+    # Parts join the memo only with a state that holds them.
+    threads = len(search.program.threads)
+    objects = max(len(state.objects) for state in memo.states.values())
+    assert len(memo.edges) <= bound * threads
+    assert len(memo.objects) <= bound * objects and len(memo.threads) <= bound * threads
+    assert len(memo.variables) <= bound and len(memo.spurious) <= bound
+
+
+@pytest.mark.parametrize("bound", [16, None], ids=["filled", "default"])
+def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
+    # The memo only skips computing successors: with it (filled early, or
+    # at its default bound, None) and without it (bound 0), every report
+    # and every trace must be the same.
+    programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
+                for name, path in list_scenarios()]
+    programs += [("racing_writes", _racing_writes),
+                 ("mixed_writes", lambda: _mixed_writes(True))]
+    runs = []
+    for size in (bound, 0):
+        if size is not None:
+            monkeypatch.setattr(engine, "SUCCESSOR_MEMO_STATES", size)
+        for name, program in programs:
+            for kw in AUDIT_CONFIGS:
+                traces = []
+                report = explore(program(), ExplorationConfig(max_depth_per_thread=4, **kw),
+                                 observer=traces.append)
+                runs.append((name, kw, report, traces))
+    half = len(runs) // 2
+    for (name, kw, report, traces), reference in zip(runs[:half], runs[half:]):
+        assert (report, traces) == reference[2:], f"{name} {kw}"
 
 
 # -- incremental analysis ----------------------------------------------------------------
@@ -671,7 +758,7 @@ class _AuditedContext(BuildContext):
                              state.spurious_used)
         fresh = surfaced_transition(tid, op, scratch, self)
         assert scratch.objects.keys() == state.objects.keys(), f"{t}: an object is missing"
-        assert _exact(body_after) == _exact(fresh_after), f"{t}: {body_after} / {fresh_after}"
+        assert exact_key(body_after) == exact_key(fresh_after), f"{t}: {body_after} / {fresh_after}"
         fresh_keys = fresh.footprint()
         assert ((type(t), schedule_step(t), t.keys, t.sleep_key, t.thread_target)
                 == (type(fresh), schedule_step(fresh),
@@ -697,7 +784,7 @@ def _transitions_seen(program, config):
     The search and the replays share transitions through an audited build
     context, and the search's remembered pair relations are audited too.
     The replay also audits each step's writes and the enabledness it changes
-    against the footprints."""
+    against the footprints, and each pending transition's schedule step."""
     traces = []
     with mock.patch.object(engine, "BuildContext", _AuditedContext):
         search = engine._Search(program, config, observer=traces.append)
@@ -720,6 +807,11 @@ def _transitions_seen(program, config):
             for info in cursor.state.threads.values():
                 t = info.pending
                 if t is not None:
+                    # The schedule step kept on the transition is the one a
+                    # fresh formatting gives.
+                    assert schedule_step(t) == ScheduleStep(
+                        t.executor, t.kind, t.object_name or "-",
+                        " ".join(str(p) for p in t.payload) or "-"), t
                     key = (type(t), t.kind, t.executor, t.object_key(), t.thread_target,
                            t.mutex_owner_refs(), t.mutex_queue_refs(), t.footprint(),
                            getattr(t, "policy", None))
