@@ -244,11 +244,13 @@ class Transition(metaclass=_TransitionType):
     def apply(self, s: "ModelState") -> None:
         """Make this operation's effect on `s`, a successor this step owns.
         It may write the objects its footprint names (any, under the
-        wildcard), the threads of its executor and `thread_target`, the
-        shared variables and the spurious-wakeup counts; the rest of `s` is
-        shared with the pre-state.  It may read only `s` and this
-        transition: the search reuses a step's successor for every state
-        equal to its pre-state (`engine.SuccessorMemo`)."""
+        wildcard) and the threads of its executor and `thread_target`; the
+        rest of `s` is shared with the pre-state.  That includes the
+        shared-variable and spurious-wakeup tables, so a step that writes
+        one replaces it with a new dict (`s.shared_vars = {...}`) and never
+        mutates it.  It may read only `s` and this transition: the search
+        reuses a step's successor for every state equal to its pre-state
+        (`engine.SuccessorMemo`)."""
 
     # -- optional hooks ----------------------------------------------------
 
@@ -459,8 +461,8 @@ class ModelState:
 
     Treated as an immutable snapshot by the engine: a step writes only the
     `successor` made for it, so stored pre-states stay valid for
-    backtracking.  Snapshots share every object and thread no step between
-    them wrote.
+    backtracking.  Snapshots share every object, thread and table no step
+    between them wrote.
     """
 
     __slots__ = ("objects", "threads", "shared_vars", "spurious_used")
@@ -473,20 +475,25 @@ class ModelState:
         self.spurious_used = spurious_used if spurious_used is not None else {}
 
     def successor(self, t: Transition) -> "ModelState":
-        """A state for step `t` to write: fresh tables, fresh copies of the
-        objects in `t`'s footprint and of the threads of its executor and
-        target (the ones `runtime.execute_step` resumes), and everything
-        else shared with this state.  A wildcard step gets a `clone`."""
+        """A state for step `t` to write: fresh copies of the objects in
+        `t`'s footprint and of the threads of its executor and target (the
+        ones `runtime.execute_step` resumes), and everything else shared
+        with this state, the variable and spurious-wakeup tables included:
+        a step replaces a table it writes (`Transition.apply`).  A wildcard
+        step gets a `clone`."""
         keys = t.keys
         if keys is None:
             return self.clone()
-        return self._copy(keys, (t.executor, t.thread_target))
+        return self._copy(keys, (t.executor, t.thread_target),
+                          self.shared_vars, self.spurious_used)
 
     def clone(self) -> "ModelState":
         """A copy that shares nothing mutable with this state."""
-        return self._copy(self.objects, self.threads)
+        return self._copy(self.objects, self.threads,
+                          dict(self.shared_vars), dict(self.spurious_used))
 
-    def _copy(self, object_keys, tids) -> "ModelState":
+    def _copy(self, object_keys, tids, shared_vars: dict,
+              spurious_used: dict) -> "ModelState":
         objects, threads = dict(self.objects), dict(self.threads)
         for key in object_keys:
             obj = objects.get(key)
@@ -496,14 +503,7 @@ class ModelState:
             info = threads.get(tid)
             if info is not None:
                 threads[tid] = info.clone()
-        return ModelState(objects, threads, dict(self.shared_vars),
-                          dict(self.spurious_used))
-
-    def thread(self, tid: ThreadId) -> ThreadInfo:
-        return self.threads[tid]
-
-    def obj(self, oid: ObjectId) -> VisibleObject:
-        return self.objects[oid]
+        return ModelState(objects, threads, shared_vars, spurious_used)
 
     def live_threads(self, budget: Optional[int] = None) -> list:
         """Thread ids that have a next step (`ThreadInfo.has_step`), in id

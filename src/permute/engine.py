@@ -50,15 +50,17 @@ The work per step follows what the step changed:
   footprint, its key set and the sleep-set triple are read from the values
   stored when the transition was built (`Transition.seal`).
 - Each distinct step of the search runs once, when no thread is a host
-  generator: `SuccessorMemo` keeps, for the first `SUCCESSOR_MEMO_STATES`
-  distinct states of a search, the outcome of each step taken from them,
-  and a repeat takes the recorded successor instead of executing the step.
-  The bound keeps the search's memory bounded, as a stateless search's is.
-  This is not visited-state pruning, which would need the treatment of
-  Yang et al. (SPIN 2008) to stay sound with sleep sets: every frame is
-  still explored with its own backtrack and sleep sets, and only the
-  computing of its state is skipped.  The memo's states are hash-consed,
-  so on them the identity tests above on thread entries are content tests.
+  generator: every state the search makes is keyed by its content, and
+  `SuccessorMemo` keeps the outcome of the newest `SUCCESSOR_MEMO_BOUND`
+  steps by the key of their pre-state and the thread that moved; a repeat
+  takes the recorded successor instead of executing the step.  The bound
+  keeps the search's memory bounded, as a stateless search's is.  This is
+  not visited-state pruning, which would need the treatment of Yang et al.
+  (SPIN 2008) to stay sound with sleep sets: every frame is still explored
+  with its own backtrack and sleep sets, as in Flanagan and Godefroid
+  (POPL 2005), and only the computing of its state is skipped.  The keyed
+  states are hash-consed, so on them the identity tests above on thread
+  entries are content tests.
 
 Backtracking restores model state from the frame snapshots.  A compiled
 body -- every scenario thread -- keeps its state in the snapshot too, so
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -99,7 +100,6 @@ from .runtime import (
     NondeterminismDetected,
     Program,
     RuntimeSession,
-    StepOutcome,
     execute_step,
     initial_state,
     moved_bodies,
@@ -186,11 +186,13 @@ class TraceResult:
 class StackEntry:
     """One depth-first-search frame."""
 
-    __slots__ = ("pre_state", "live", "enabled", "backtrack", "done", "sleep",
+    __slots__ = ("pre_state", "key", "live", "enabled", "backtrack", "done", "sleep",
                  "chosen", "thread_clocks", "initialized")
 
-    def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict):
+    def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict,
+                 key: Optional[tuple] = None):
         self.pre_state = pre_state
+        self.key = key                      # the pre-state's `SuccessorMemo` key, if any
         self.live: list = []                # threads with a next step, in id order
         self.enabled: list = []             # the live ones that can take it, in id order
         self.backtrack: set = set()
@@ -373,17 +375,20 @@ def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
     return DEADLOCK
 
 
-# The most states the successor memo of one search admits.  The memo holds
-# about 1.2 KB per state (its tables and edges and the parts it brings, by
-# tracemalloc on reader_two_writers_cond), while the rest of a search's
-# memory follows its depth; with a bound, the memo adds a fixed amount,
-# whatever the size of the state space.  This one holds every state of the
-# corpus's short checks (at most 271, sem_wakeup_order under lifo).
-SUCCESSOR_MEMO_STATES = 512
+# The most entries each table of a search's successor memo keeps: steps,
+# parts of each kind, and fingerprints.  A full memo holds about 1.3 KB per
+# step (the successor, the keys and the parts they hold, by tracemalloc on
+# reader_two_writers_cond at depth 16), while the rest of a search's memory
+# follows its depth; with a bound, the memo adds a fixed amount, whatever
+# the size of the state space.  Repeats come mostly from recent states, so
+# the newest steps are the ones kept.  Every distinct step of the corpus's
+# short checks fits (at most 376, sem_wakeup_order under lifo).
+SUCCESSOR_MEMO_BOUND = 512
 
 
 class SuccessorMemo:
-    """The outcome of each step one search takes from an admitted state.
+    """The outcome of each step one search took lately, by the key of its
+    pre-state and the thread that moved.
 
     Stateless search reaches the same state along many schedules and runs
     the same steps from it each time.  When every thread is compiled, a step
@@ -392,146 +397,130 @@ class SuccessorMemo:
     search explores every frame it would explore without it, with the same
     backtrack and sleep sets, and only skips computing a successor it has
     computed before.  A host generator body cannot be skipped or rewound, so
-    no state of a program with host threads is admitted, and all its steps
-    run.
+    no state of a program with host threads is keyed, and all its steps run.
 
-    Admitted states are hash-consed.  Each part of one -- an object, a
-    thread entry, the variable table, the spurious-wakeup table -- is the
-    one canonical part with its content, and the state is the one admitted
-    state with its parts.  Contents are keyed type-exactly: an object by
-    `VisibleObject.content_key`, a table by `exact_key` of each value, and a
-    thread entry by its status, step count, pending transition and body
-    state, the last two by identity, since the build context hands out one
-    object per distinct transition and body state of a compiled thread.
-    Equal content is then the same object, so the search's identity tests
-    on thread entries (`_Search._init_frame`) stay exact content tests when
-    a recorded successor was first reached from another parent.  A
-    successor is keyed from its parent's parts: only the parts its step
-    copied are keyed anew.
+    A state's key is made of its parts -- its objects, its thread entries,
+    and the content of the variable and spurious-wakeup tables -- and the
+    objects and thread entries are hash-consed: each is the one part with
+    its content the memo knows.  Contents are keyed type-exactly: an object
+    by `VisibleObject.content_key`, a table by `exact_key` of each value,
+    and a thread entry by its status, step count, pending transition and
+    body state, the last two by identity, since the build context hands out
+    one object per distinct transition and body state of a compiled thread.
+    Equal keys are then equal states, and the search's identity tests on
+    thread entries (`_Search._init_frame`) stay exact content tests when a
+    recorded successor was first reached from another parent.  A successor
+    is keyed from its parent's parts: only the parts its step replaced are
+    keyed anew.
 
-    At most `SUCCESSOR_MEMO_STATES` states are admitted.  Past that, a step
-    from an admitted state still records a successor equal to an admitted
-    state, a new successor is left out, and a step from a state that is not
-    admitted runs as it would without the memo.
+    A keyed part is never mutated: `ModelState.successor` copies every part
+    a step writes before `Transition.apply` runs, as the replay audit
+    `_assert_writes_within_footprint` (tests/test_engine.py) checks.  So
+    states that share a part agree on it, and two equal parts that are not
+    one object (a part table started afresh between them) cost only a miss.
+
+    Each table holds at most `SUCCESSOR_MEMO_BOUND` entries: a full step map
+    drops its oldest step, and a full part or fingerprint table starts
+    afresh.
     """
 
-    __slots__ = ("states", "admitted", "edges", "objects", "threads",
-                 "variables", "spurious")
+    __slots__ = ("steps", "fingerprints", "objects", "threads")
 
     def __init__(self):
-        self.states: dict = {}     # key of the parts -> admitted state
-        self.admitted: dict = {}   # admitted state -> its fingerprint, None until asked
-        self.edges: dict = {}      # (admitted state, thread) -> StepOutcome
-        # Content key -> canonical part, one table per kind of part.
+        self.steps: dict = {}          # (state key, thread) -> (StepOutcome, successor key)
+        self.fingerprints: dict = {}   # state key -> fingerprint
+        # Content key -> the part with that content, one table per kind.
         self.objects: dict = {}
         self.threads: dict = {}
-        self.variables: dict = {}
-        self.spurious: dict = {}
 
-    def admit(self, state: ModelState) -> None:
-        """Admit the root state of a search, if there is room."""
-        self._intern(state, None, None)
-
-    def step(self, session: RuntimeSession, state: ModelState, tid: ThreadId,
-             ctx: BuildContext) -> StepOutcome:
-        """`execute_step(session, state, tid, ctx)` for an admitted `state`,
-        run once per thread; its outcome's state is the admitted one when
-        there is one.  A caller runs a step from any other state itself."""
-        edge = (state, tid)
-        outcome = self.edges.get(edge)
-        if outcome is None:
+    def step(self, session: RuntimeSession, state: ModelState, key: Optional[tuple],
+             tid: ThreadId, ctx: BuildContext) -> tuple:
+        """(`execute_step(session, state, tid, ctx)`, the key of its state),
+        run once per recent step from a state with `key`.  A state without a
+        key has successors without one."""
+        if key is None:
+            return execute_step(session, state, tid, ctx), None
+        edge = key, tid
+        steps = self.steps
+        known = steps.get(edge)
+        if known is None:
             outcome = execute_step(session, state, tid, ctx)
-            successor = self._intern(outcome.state, state, outcome.transition)
-            if successor is not None:
-                outcome.state = successor
-                self.edges[edge] = outcome
-        return outcome
+            known = outcome, self.key(outcome.state, state, key, outcome.transition)
+            if known[1] is not None:
+                steps[edge] = known
+                if len(steps) > SUCCESSOR_MEMO_BOUND:
+                    del steps[next(iter(steps))]
+        return known
 
-    def fingerprint(self, state: ModelState) -> str:
-        """`fingerprint(state)`, computed once per admitted state."""
-        fp = self.admitted.get(state)
+    def fingerprint(self, state: ModelState, key: Optional[tuple]) -> str:
+        """`fingerprint(state)`, computed once per recent key."""
+        if key is None:
+            return fingerprint(state)
+        fingerprints = self.fingerprints
+        fp = fingerprints.get(key)
         if fp is None:
-            fp = fingerprint(state)
-            if state in self.admitted:
-                self.admitted[state] = fp
+            if len(fingerprints) >= SUCCESSOR_MEMO_BOUND:
+                fingerprints.clear()
+            fp = fingerprints[key] = fingerprint(state)
         return fp
 
-    def _intern(self, s: ModelState, parent: Optional[ModelState],
-                t: Optional[Transition]) -> Optional[ModelState]:
-        """The admitted state equal to `s`, the successor by step `t` of
-        admitted `parent` (None: a root), which shares every part `t` did
-        not copy: an admitted one, else `s` itself, made of canonical parts
-        and admitted if there is room, else None.  Parts new to the memo
-        join it only with a state, so the part tables stay bounded too."""
-        root = parent is None
-        if root:
-            parent = _EMPTY_STATE
+    def key(self, s: ModelState, parent: Optional[ModelState] = None,
+            parent_key: Optional[tuple] = None,
+            t: Optional[Transition] = None) -> Optional[tuple]:
+        """The key of `s`, a root or the successor by step `t` of `parent`,
+        whose key is `parent_key`; None when a value cannot be hashed.  Each
+        object and thread entry `t` replaced is swapped for the part with
+        its content the memo knows; a part new to the memo joins it."""
         objects, threads = s.objects, s.threads
-        parent_objects, parent_threads = parent.objects, parent.threads
-        # The parts to key anew: what `ModelState.successor` copied for `t`,
-        # and the objects the bodies it resumed created; everything else is
-        # the parent's.  The loops skip a part still shared with the parent.
         copied_objects, copied_threads = objects, threads
-        if not root and t.keys is not None:
-            copied_threads = (t.executor, t.thread_target)
-            if len(objects) == len(parent_objects):
-                copied_objects = t.keys
-        fresh: dict = {}   # the parts new to the memo, by table and key
+        parent_objects = parent_threads = {}
+        variables = spurious = None
+        if parent is not None:
+            parent_objects, parent_threads = parent.objects, parent.threads
+            _, _, variables, spurious = parent_key
+            # The parts to key anew: what `ModelState.successor` copied for
+            # `t`, and the objects the bodies it resumed created; the loops
+            # skip a part still shared with the parent.
+            if t.keys is not None:
+                copied_threads = (t.executor, t.thread_target)
+                if len(objects) == len(parent_objects):
+                    copied_objects = t.keys
         try:
             for oid in copied_objects:
                 obj = objects.get(oid)
                 if obj is not None and obj is not parent_objects.get(oid):
-                    objects[oid] = _canonical(self.objects, obj.content_key(), obj, fresh)
+                    objects[oid] = _part(self.objects, obj.content_key(), obj)
             for tid in copied_threads:
                 info = threads.get(tid)
                 if info is not None and info is not parent_threads.get(tid):
-                    key = (info.status, info.pending, info.executed, id(info.body_state))
-                    threads[tid] = _canonical(self.threads, key, info, fresh)
-            variables = _canonical_table(self.variables, s.shared_vars,
-                                         None if root else parent.shared_vars, fresh)
-            spurious = _canonical_table(self.spurious, s.spurious_used,
-                                        None if root else parent.spurious_used, fresh)
-            if len(objects) != len(parent_objects):
-                objects = dict(sorted(objects.items()))   # admitted states keep oid order
-            key = (tuple(objects.values()), tuple(threads.values()), id(variables), id(spurious))
-            known = None if fresh else self.states.get(key)
+                    content = (info.status, info.pending, info.executed, id(info.body_state))
+                    threads[tid] = _part(self.threads, content, info)
+            if parent is None or s.shared_vars is not parent.shared_vars:
+                variables = _table_key(s.shared_vars)
+            if parent is None or s.spurious_used is not parent.spurious_used:
+                spurious = _table_key(s.spurious_used)
         except TypeError:   # an unhashable value
             return None
-        if known is not None:
-            return known
-        if len(self.states) >= SUCCESSOR_MEMO_STATES:
-            return None
-        for table, part_key, part in fresh.values():
-            table[part_key] = part
-        s.objects, s.shared_vars, s.spurious_used = objects, variables, spurious
-        self.states[key] = s
-        self.admitted[s] = None
-        return s
+        if len(objects) != len(parent_objects):
+            s.objects = objects = dict(sorted(objects.items()))   # keys follow oid order
+        return tuple(objects.values()), tuple(threads.values()), variables, spurious
 
 
-_EMPTY_STATE = ModelState()
+def _part(table: dict, content, part):
+    """The part with `content` that `table` holds, else `part`, which joins
+    it; a table that outgrows the bound starts afresh."""
+    part = table.setdefault(content, part)
+    if len(table) > SUCCESSOR_MEMO_BOUND:
+        table.clear()
+    return part
 
 
-def _canonical(table: dict, key, part, fresh: dict):
-    """The canonical part with content `key`: the one `table` holds, else
-    the first part with that content in the state being keyed, noted in
-    `fresh`."""
-    known = table.get(key)
-    if known is None:
-        known = fresh.setdefault((id(table), key), (table, key, part))[2]
-    return known
-
-
-def _canonical_table(tables: dict, table: dict, parent_table: Optional[dict],
-                     fresh: dict) -> dict:
-    """The canonical variable or spurious-count table equal to `table`, by
-    `_canonical` from `tables`: `parent_table` when that holds the very same
-    values."""
-    if (parent_table is not None and table == parent_table
-            and all(map(operator.is_, table.values(), parent_table.values()))):
-        return parent_table
+def _table_key(table: dict) -> tuple:
+    """The content of a variable or spurious-count table, keyed
+    type-exactly; TypeError when a value cannot be hashed."""
     key = tuple((name, exact_key(value)) for name, value in table.items())
-    return _canonical(tables, key, table, fresh)
+    hash(key)
+    return key
 
 
 class _Search:
@@ -548,9 +537,9 @@ class _Search:
         self.session = RuntimeSession(program, self.ctx)
         state0 = initial_state(program, self.session, self.ctx)
         self.memo = SuccessorMemo()
-        if not self.session.host_threads:   # a host body runs every step it takes
-            self.memo.admit(state0)
-        self.stack = [StackEntry(state0, {}, {0: EMPTY_CLOCK})]
+        # A host body runs every step it takes: no state of it is keyed.
+        key = None if self.session.host_threads else self.memo.key(state0)
+        self.stack = [StackEntry(state0, {}, {0: EMPTY_CLOCK}, key)]
         self.trace: list = []
         self.step_clocks: list = []
         self.index = FootprintIndex()
@@ -562,7 +551,7 @@ class _Search:
 
     # -- trace bookkeeping ---------------------------------------------
 
-    def _end_trace(self, end_state: ModelState, verdict: str) -> None:
+    def _end_trace(self, frame: StackEntry, verdict: str) -> None:
         report = self.report
         idx = report.traces
         report.traces += 1
@@ -588,8 +577,8 @@ class _Search:
         interesting = verdict in (DEADLOCK, STOPPED_ON_FAILURE) or bool(findings)
         if self.observer is not None or (self.trace_sink is not None and
                                          (self.config.keep_all_traces or interesting)):
-            result = TraceResult(idx, verdict, self.memo.fingerprint(end_state),
-                                 [schedule_step(t) for t in self.trace],
+            fp = self.memo.fingerprint(frame.pre_state, frame.key)
+            result = TraceResult(idx, verdict, fp, [schedule_step(t) for t in self.trace],
                                  list(findings))
             if self.observer is not None:
                 self.observer(result)
@@ -642,7 +631,12 @@ class _Search:
         The root frame tests every thread; it has no earlier step to add
         backtrack points for.  Any other frame starts from its parent's
         answers and re-tests only the threads the step between them copied
-        or touched (see the module docstring).
+        or touched (see the module docstring).  Every state of a compiled
+        search is keyed by `SuccessorMemo`, and may be a recorded successor
+        first reached from another parent with the same key: the identity
+        tests on thread entries are content tests.  An entry equal to the
+        parent's but not the same object (its part table started afresh
+        between them) only costs the full treatment.
         """
         stack, trace, index = self.stack, self.trace, self.index
         state = frame.pre_state
@@ -778,7 +772,7 @@ class _Search:
                 frame.initialized = True
                 self._init_frame(frame)
                 if not frame.enabled:
-                    self._end_trace(frame.pre_state, classify_endstate(frame.pre_state, config))
+                    self._end_trace(frame, classify_endstate(frame.pre_state, config))
                     self._pop()
                     continue
                 seed = None
@@ -787,7 +781,7 @@ class _Search:
                         seed = tid
                         break
                 if seed is None:
-                    self._end_trace(frame.pre_state, BLOCKED)
+                    self._end_trace(frame, BLOCKED)
                     self._pop()
                     continue
                 frame.backtrack.add(seed)
@@ -818,11 +812,7 @@ class _Search:
                               if body in host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
-        state = frame.pre_state
-        if state in self.memo.admitted:
-            outcome = self.memo.step(self.session, state, tid, self.ctx)
-        else:
-            outcome = execute_step(self.session, state, tid, self.ctx)
+        outcome, key = self.memo.step(self.session, frame.pre_state, frame.key, tid, self.ctx)
         t = outcome.transition
         frame.chosen = tid
         frame.done.add(tid)
@@ -842,11 +832,12 @@ class _Search:
             self.counted_steps += 1
         self.step_clocks.append(clock)
         self.index.push(t)
-        self.stack.append(StackEntry(outcome.state, child_sleep, child_clocks))
+        child = StackEntry(outcome.state, child_sleep, child_clocks, key)
+        self.stack.append(child)
 
         if self.config.stop_at_first_failure and any(
                 f.category == "assert" for f in outcome.findings):
-            self._end_trace(outcome.state, STOPPED_ON_FAILURE)
+            self._end_trace(child, STOPPED_ON_FAILURE)
             self.stop = True
 
 

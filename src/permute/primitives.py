@@ -475,7 +475,8 @@ class CondWakeFinish(_CondWaitStep):
             cond.credits -= 1
         else:
             cond.spurious_budget -= 1
-            s.spurious_used[self.oid] = s.spurious_used.get(self.oid, 0) + 1
+            s.spurious_used = {**s.spurious_used,
+                               self.oid: s.spurious_used.get(self.oid, 0) + 1}
         cond.clamp_credits()
         s.objects[self.mutex_oid].owner = self.executor
 
@@ -916,7 +917,7 @@ class VarWrite(_ObjectOp):
         return other.kind == "assert" and self.object_name in other.var_refs
 
     def apply(self, s):
-        s.shared_vars[self.object_name] = self.payload[0]
+        s.shared_vars = {**s.shared_vars, self.object_name: self.payload[0]}
 
 
 @register

@@ -365,8 +365,9 @@ def test_fresh_assert_closure_per_build_is_not_a_divergence():
     assert search.run() == report
     assert search.ctx.transitions == {}
     assert search.ctx.steps == {}
-    # Nor does the successor memo take a host program's steps.
-    assert not search.memo.states and not search.memo.edges
+    # Nor does the successor memo key a host program's states.
+    memo = search.memo
+    assert not (memo.steps or memo.objects or memo.threads or memo.fingerprints)
 
 
 class _Script:
@@ -521,35 +522,54 @@ def test_each_distinct_step_of_a_search_is_applied_once(monkeypatch):
     assert applies and max(applies.values()) == 1
 
 
-def test_successor_memo_holds_at_most_its_bound():
-    search = engine._Search(
+def _deep_lib_search(observer=None):
+    return engine._Search(
         scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read()),
-        ExplorationConfig(max_depth_per_thread=16))
+        ExplorationConfig(max_depth_per_thread=16), observer=observer)
+
+
+def test_successor_memo_holds_at_most_its_bound():
+    # The search makes thousands of distinct steps and states: each table
+    # of the memo fills, and keeps at most its bound.
+    search = _deep_lib_search(observer=lambda result: None)
     search.run()
-    memo, bound = search.memo, engine.SUCCESSOR_MEMO_STATES
-    # The search reaches thousands of states: the memo fills and stops.
-    assert len(memo.states) == len(memo.admitted) == bound
-    # Parts join the memo only with a state that holds them.
-    threads = len(search.program.threads)
-    objects = max(len(state.objects) for state in memo.states.values())
-    assert len(memo.edges) <= bound * threads
-    assert len(memo.objects) <= bound * objects and len(memo.threads) <= bound * threads
-    assert len(memo.variables) <= bound and len(memo.spurious) <= bound
+    memo, bound = search.memo, engine.SUCCESSOR_MEMO_BOUND
+    assert len(memo.steps) == bound
+    for table in (memo.objects, memo.threads, memo.fingerprints):
+        assert len(table) <= bound
 
 
-@pytest.mark.parametrize("bound", [16, None], ids=["filled", "default"])
+def test_successor_memo_runs_the_repeats_of_recent_steps_once(monkeypatch):
+    # 18,167 steps, 4,554 of them distinct: keeping the newest steps serves
+    # most repeats, since most come from recent states.
+    runs = itertools.count()
+    run = engine.execute_step
+
+    def counted(*args):
+        next(runs)
+        return run(*args)
+
+    monkeypatch.setattr(engine, "execute_step", counted)
+    _deep_lib_search().run()
+    assert next(runs) <= 7000
+
+
+@pytest.mark.parametrize("bound", [4, None], ids=["filled", "default"])
 def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
-    # The memo only skips computing successors: with it (filled early, or
-    # at its default bound, None) and without it (bound 0), every report
-    # and every trace must be the same.
+    # The memo only skips computing successors: with it (filled so early
+    # that its part tables start afresh on every program, or at its default
+    # bound, None) and without it (no state keyed, as for an unhashable
+    # value), every report and every trace must be the same.
     programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
                 for name, path in list_scenarios()]
     programs += [("racing_writes", _racing_writes),
                  ("mixed_writes", lambda: _mixed_writes(True))]
+    if bound is not None:
+        monkeypatch.setattr(engine, "SUCCESSOR_MEMO_BOUND", bound)
     runs = []
-    for size in (bound, 0):
-        if size is not None:
-            monkeypatch.setattr(engine, "SUCCESSOR_MEMO_STATES", size)
+    for keyed in (True, False):
+        if not keyed:
+            monkeypatch.setattr(engine.SuccessorMemo, "key", lambda *args: None)
         for name, program in programs:
             for kw in AUDIT_CONFIGS:
                 traces = []
@@ -706,13 +726,18 @@ def _contents(state):
 
 def _assert_writes_within_footprint(pre, contents, outcome):
     """A step leaves its pre-state as it was, and its successor shares every
-    object outside its footprint and every thread it neither runs nor
-    targets: those are the parts `ModelState.successor` does not copy."""
+    object outside its footprint, every thread it neither runs nor targets,
+    and each table it does not write: those are the parts
+    `ModelState.successor` does not copy.  A wildcard step copies all."""
     t, post = outcome.transition, outcome.state
     assert _contents(pre) == contents, f"{t} wrote its pre-state"
     footprint = t.footprint()
     if footprint is None:
         return
+    if t.kind != "write":
+        assert post.shared_vars is pre.shared_vars, f"{t} copied the variables"
+    if post.spurious_used == pre.spurious_used:
+        assert post.spurious_used is pre.spurious_used, f"{t} copied the spurious counts"
     for oid, obj in pre.objects.items():
         if oid not in footprint:
             assert post.objects[oid] is obj, f"{t} copied object {oid}"
