@@ -184,7 +184,10 @@ def _program_for(trace: TraceData) -> tuple:
     """The program of the trace's scenario and its build contexts.  The file
     is read and hashed on every call, so a scenario edited since the
     recording is refused; equal text gives an equal program."""
-    text = trace.scenario_path.read_text(encoding="utf-8")
+    try:
+        text = trace.scenario_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{trace.scenario_path}: not a text file: {exc}") from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != trace.scenario_sha256:
         raise TraceFormatError(
@@ -382,7 +385,7 @@ def cmd_check(args) -> int:
     path = Path(args.scenario)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -394,7 +397,11 @@ def cmd_check(args) -> int:
 
     store = TraceStore(_default_trace_dir(args.trace_dir), path, text, config)
     started = time.perf_counter()
-    report = explore(program, config, trace_sink=store.write)
+    try:
+        report = explore(program, config, trace_sink=store.write)
+    except OSError as exc:   # the trace directory cannot be made or written
+        print(f"error: cannot write traces under {store.directory}: {exc}", file=sys.stderr)
+        return 2
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     print(render_report(report, elapsed_ms))

@@ -15,7 +15,10 @@ The work per step follows what the step changed:
   `Transition.footprint`), and of the steps related to each thread by a
   create or join.  The backtrack scan skips the related steps, which the
   framework never counts co-enabled (`core.coenabled`); the clock merge
-  visits them, since they are dependent.
+  visits them, since they are dependent.  The lists a shared transition
+  is pushed to and scanned over are gathered once per search, into its
+  scan plan (`FootprintIndex.plan`), and the backtrack scan reads the
+  causal order from the thread's clock directly.
 - A frame other than the root is set up from its parent frame and the one
   step `t` between them (`_Search._init_frame`).  `ModelState.successor`
   copies only the thread entries of `t`'s executor and target (all of them
@@ -34,7 +37,8 @@ The work per step follows what the step changed:
   the parent frame over every step but the newest, so only the newest step
   is tested for it (see `update_backtrack_sets`).
 - The race scan runs only when a thread with a pending read or write is new
-  to the enabled set or has a new pending transition: every other pair was
+  to the enabled set or has a new pending transition, and one of the race
+  keys such an access could form is not yet seen: every other pair was
   scanned by an ancestor frame, and its race key is already seen.
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
@@ -91,7 +95,6 @@ from .core import (
     dependent,
     exact_key,
     fingerprint,
-    happens_before,
 )
 from .primitives import POLICIES
 from .runtime import (
@@ -237,6 +240,8 @@ def pair_relations(a: Transition, b: Transition) -> tuple:
 def propagate_sleep_set(sleep: dict, executed: Transition) -> dict:
     """Initial sleep set of the child frame: entries still independent of
     the transition just executed."""
+    if not sleep:
+        return {}
     return {k: t for k, t in sleep.items() if not pair_relations(t, executed)[0]}
 
 
@@ -248,12 +253,16 @@ class FootprintIndex:
     list when it declares none, under the thread that executed it, and
     under its thread_target.  A step of another thread can only be
     dependent with a transition when they share a key, when one of them is
-    a wildcard (`candidates`), or when one targets the other's executor
-    (`related`), so a scan for the steps a transition may depend on visits
-    just those lists; a wildcard transition visits every position.
+    a wildcard, or when one targets the other's executor, so a scan for the
+    steps a transition may depend on visits just those lists; a wildcard
+    transition visits every position.
+
+    Every list is made once and kept as long as the index, so the lists of
+    a transition the build context shares are gathered once, into its scan
+    plan (`plan`).
     """
 
-    __slots__ = ("by_key", "executed", "targeting", "wildcard", "lists_at")
+    __slots__ = ("by_key", "executed", "targeting", "wildcard", "lists_at", "plans")
 
     def __init__(self):
         self.by_key: dict = {}
@@ -261,17 +270,43 @@ class FootprintIndex:
         self.targeting: dict = {}    # thread -> positions of steps targeting it
         self.wildcard: list = []
         self.lists_at: list = []     # per trace position: the lists holding it
+        self.plans: dict = {}        # serial -> scan plan of a shared transition
 
-    def push(self, t: Transition) -> None:
-        lists = [self.executed.setdefault(t.executor, [])]
+    def plan(self, t: Transition) -> tuple:
+        """The scan plan of `t`: the ascending position lists that `push`
+        appends its position to; the candidate lists, which together hold
+        every step of another thread that `t` may be dependent with through
+        a claim (its key lists and the wildcard list); and the candidate
+        lists followed by the related ones, which hold the steps that
+        target `t`'s executor and the steps of `t`'s target, dependent with
+        `t` by the framework rule and never co-enabled with it.  A list may
+        hold steps of t's own thread too, and a position may appear in more
+        than one.  The plan of a shared transition with a footprint is kept
+        by its serial; any other is made on every call."""
+        plan = self.plans.get(t.serial)
+        if plan is not None:
+            return plan
+        executed, targeting = self.executed, self.targeting
+        lists = [executed.setdefault(t.executor, [])]
+        related = [targeting.setdefault(t.executor, [])]
         if t.thread_target is not None:
-            lists.append(self.targeting.setdefault(t.thread_target, []))
+            lists.append(targeting.setdefault(t.thread_target, []))
+            related.append(executed.setdefault(t.thread_target, []))
         footprint = t.keys
         if footprint is None:
             lists.append(self.wildcard)
+            candidates = [range(len(self.lists_at))]
         else:
-            for key in footprint:
-                lists.append(self.by_key.setdefault(key, []))
+            keyed = [self.by_key.setdefault(key, []) for key in footprint]
+            lists += keyed
+            candidates = [self.wildcard] + keyed
+        plan = lists, candidates, candidates + related
+        if footprint is not None and t.serial is not None:
+            self.plans[t.serial] = plan
+        return plan
+
+    def push(self, t: Transition) -> None:
+        lists = self.plan(t)[0]
         position = len(self.lists_at)
         for positions in lists:
             positions.append(position)
@@ -280,26 +315,6 @@ class FootprintIndex:
     def pop(self) -> None:
         for positions in self.lists_at.pop():
             positions.pop()
-
-    def candidates(self, t: Transition) -> list:
-        """Ascending position lists that together hold every step of another
-        thread that `t` may be dependent with through a claim: its key lists
-        and the wildcard list.  They may hold steps of t's own thread too,
-        and a position may appear in more than one."""
-        footprint = t.keys
-        if footprint is None:
-            return [range(len(self.lists_at))]
-        by_key = self.by_key
-        return [self.wildcard] + [by_key.get(key, ()) for key in footprint]
-
-    def related(self, t: Transition) -> list:
-        """Ascending position lists of the steps that target `t`'s executor
-        and of the steps of `t`'s target: dependent with `t` by the framework
-        rule, and never co-enabled with it."""
-        lists = [self.targeting.get(t.executor, ())]
-        if t.thread_target is not None:
-            lists.append(self.executed.get(t.thread_target, ()))
-        return lists
 
 
 def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
@@ -310,9 +325,10 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
 
     Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
-    winning.  The steps `index.related` lists for `next_t` need not be
-    candidates: `coenabled` rejects every pair a create or join makes with
-    a step of the thread it names.
+    winning.  The related steps of `next_t`'s plan need not be candidates:
+    `coenabled` rejects every pair a create or join makes with a step of the
+    thread it names.  A step is causally before `next_t` when the clock of
+    `next_t`'s thread covers it (`core.happens_before`).
 
     Only steps at positions `since` and later are tested.  The search
     passes the newest position for a thread the last step did not move: the
@@ -323,8 +339,9 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
     there, and adding it again changes nothing.
     """
     executor = next_t.executor
+    clock = frontier.thread_clocks.get(executor, EMPTY_CLOCK).entries
     latest = since - 1
-    for positions in index.candidates(next_t):
+    for positions in index.plan(next_t)[1]:
         for i in reversed(positions):
             if i <= latest:
                 break
@@ -334,7 +351,7 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
                 continue
             if not pair_relations(prior, next_t)[1]:
                 continue
-            if happens_before(i, trace, frontier.thread_clocks, next_t):
+            if i < clock.get(prior.executor, 0):   # causally before next_t
                 continue
             latest = i
             break
@@ -523,6 +540,11 @@ def _table_key(table: dict) -> tuple:
     return key
 
 
+# The race keys of a read and a write, and of two writes (`_Search._scan_races`).
+_READ_WRITE = frozenset(("read", "write"))
+_WRITES = frozenset(("write",))
+
+
 class _Search:
     def __init__(self, program: Program, config: ExplorationConfig,
                  trace_sink: Optional[Callable] = None,
@@ -596,7 +618,16 @@ class _Search:
                 self.report.crashes.append((idx, f.message))
             self.segment_findings.append((f.category, f.message))
 
-    def _scan_races(self, frame: StackEntry) -> None:
+    def _scan_races(self, frame: StackEntry, new: Optional[list] = None) -> None:
+        """Report each race key first formed by two enabled accesses of the
+        frame.  `new`, when given, lists the pending accesses new to the
+        frame; any other pair was scanned by an ancestor frame.  When every
+        key a new access could form is already seen, the scan is skipped."""
+        seen = self.race_seen
+        if new is not None and all(
+                (t.object_name, _READ_WRITE) in seen
+                and (t.kind == "read" or (t.object_name, _WRITES) in seen) for t in new):
+            return
         accesses = {}
         for tid in frame.enabled:
             pending = frame.pre_state.pending_of(tid)
@@ -609,9 +640,9 @@ class _Search:
                 if k1 == "read" and k2 == "read":
                     continue
                 key = (var, frozenset((k1, k2)))
-                if key in self.race_seen:
+                if key in seen:
                     continue
-                self.race_seen.add(key)
+                seen.add(key)
                 self.report.data_races.append((var, (t1, t2), idx))
                 self.segment_findings.append(
                     ("race", f"{var}: {k1} by thread {t1} vs {k2} by thread {t2}"))
@@ -654,7 +685,7 @@ class _Search:
         clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
         parent_live, parent_enabled = parent.live, parent.enabled
         live, enabled = [], []
-        new_access = False
+        new_accesses = []
         # Every thread of the program is in the table from the initial state
         # on, in id order, and successors keep that order.
         for tid, info in threads.items():
@@ -688,11 +719,11 @@ class _Search:
                 enabled.append(tid)
                 if pending.kind in ("read", "write") and (
                         pending is not parent_info.pending or tid not in parent_enabled):
-                    new_access = True
+                    new_accesses.append(pending)
             update_backtrack_sets(stack, trace, frame, pending, index, since)
         frame.live, frame.enabled = live, enabled
-        if new_access:
-            self._scan_races(frame)
+        if new_accesses:
+            self._scan_races(frame, new_accesses)
 
     def _step_clock(self, frame: StackEntry, t: Transition) -> ClockVector:
         """Clock vector of step `t` from `frame`: its thread's clock merged
@@ -703,7 +734,7 @@ class _Search:
         nothing.  The thread's own earlier steps are all covered."""
         clock = frame.thread_clocks.get(t.executor, EMPTY_CLOCK)
         trace, step_clocks, index = self.trace, self.step_clocks, self.index
-        for positions in itertools.chain(index.candidates(t), index.related(t)):
+        for positions in index.plan(t)[2]:
             for j in reversed(positions):
                 prior = trace[j]
                 if clock.entries.get(prior.executor, 0) > j:

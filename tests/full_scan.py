@@ -1,13 +1,15 @@
 """Reference scans for the DPOR engine, in their textbook form.
 
 The engine sets up a frame from its parent frame and the step between them:
-it re-tests only the threads that step copied or touched, tests only
-footprint-indexed candidates, and only the newest step for a thread the last
-step did not move, and scans for races only when a new access is enabled;
+it re-tests only the threads that step copied or touched, tests only the
+footprint-indexed candidates of each transition's scan plan, and only the
+newest step for a thread the last step did not move, and scans for races
+only when a new access is enabled that can form a race key not yet seen;
 its clock merge skips steps the accumulating clock already covers.  The
 reference below does none of this: every frame computes its live and enabled
 threads from the state alone, every live thread's pending transition is
-tested against every step of the trace, races are scanned on every frame,
+tested against every step of the trace with `happens_before`, races are
+scanned on every frame (`_scan_races(frame)`, with no new accesses named),
 and the clock of every dependent step is merged.  Installing it with
 `use_full_scans` makes `explore` search as the plain Flanagan-Godefroid
 algorithm does, so a test can compare the two.

@@ -68,6 +68,27 @@ def test_check_missing_file_and_parse_error(tmp_path, capsys):
     assert code == 2 and "undeclared" in err
 
 
+def test_check_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe")
+    _one_error_line(*run_cli(capsys, "check", str(bad), "--trace-dir", str(tmp_path / "traces")))
+    assert not (tmp_path / "traces").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["a-file", "under-a-file"])
+def test_check_rejects_a_trace_dir_that_cannot_be_a_directory(tmp_path, capsys, nested):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    trace_dir = str(blocker / "traces" if nested else blocker)
+    _one_error_line(*run_cli(capsys, "check", str(corpus_path("race_two_writers")),
+                             "--trace-dir", trace_dir))
+    # A check that persists nothing never needs the directory.
+    code, out, _ = run_cli(capsys, "check", str(corpus_path("simple_barrier_10")),
+                           "--trace-dir", trace_dir)
+    assert code == 0 and report_dict(out)["traces"] == "1"
+    assert blocker.read_text() == "kept\n"
+
+
 def test_check_rejects_negative_spurious_bound(tmp_path, capsys):
     _one_error_line(*run_cli(capsys, "check", str(corpus_path("simple_barrier_10")),
                              "--max-spurious-wakeups", "-1", "--trace-dir", str(tmp_path)))
@@ -185,6 +206,18 @@ def test_verify_refuses_a_scenario_edited_after_a_verify(tmp_path, capsys):
     scenario.write_text(scenario.read_text() + "# edited\n")
     with pytest.raises(TraceFormatError, match="changed since the trace was recorded"):
         verify_trace(path)
+
+
+def test_verify_and_replay_refuse_a_scenario_no_longer_utf8(tmp_path, capsys):
+    scenario = _scenario_copy(tmp_path, "philosophers_mut_deadlock_2")
+    traces = tmp_path / "traces"
+    run_cli(capsys, "check", str(scenario), "--trace-dir", str(traces))
+    path = sorted(traces.glob("trace-*.txt"))[0]
+    scenario.write_bytes(b"\xff\xfe")
+    with pytest.raises(TraceFormatError, match="not a text file"):
+        verify_trace(path)
+    index = path.stem.split("-")[1]
+    _one_error_line(*run_cli(capsys, "replay", index, "--trace-dir", str(traces)))
 
 
 def _repl_for(tmp_path, capsys, scenario="philosophers_mut_deadlock_2", index=None):

@@ -600,13 +600,21 @@ def _join_then_read():
                    [ObjectDecl("x", "var", {"init": 0})])
 
 
+def _read_then_write():
+    # The read of b races with the write of a first; only b's write, new to
+    # a later frame, races with a's write too.
+    return scenario("var x = 0\nthread a { write x 1; }\nthread b { v = read x; write x 2; }")
+
+
 def test_incremental_scans_explore_like_full_scans(monkeypatch):
     # The newest-step test for unmoved threads, the candidate lists without
-    # create/join relations, and the covered-clock skip must not change a
-    # single trace: compare with the textbook scans on the whole corpus.
+    # create/join relations, the covered-clock skip and the race scans
+    # skipped for accesses whose race keys are all seen must not change a
+    # single trace or race: compare with the textbook scans on the whole
+    # corpus.
     programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
                 for name, path in list_scenarios()]
-    programs.append(("join_then_read", _join_then_read))
+    programs += [("join_then_read", _join_then_read), ("read_then_write", _read_then_write)]
     runs = []
     for name, program in programs:
         for kw in AUDIT_CONFIGS:
@@ -619,6 +627,21 @@ def test_incremental_scans_explore_like_full_scans(monkeypatch):
         reference = []
         assert explore(program(), config, observer=reference.append) == report, f"{name} {kw}"
         assert reference == traces, f"{name} {kw}"
+
+
+def test_scan_plans_are_kept_only_for_shared_transitions():
+    # A host body's steps are built anew on every re-drive, so none has a
+    # serial and no plan is kept; a compiled search keeps at most one plan
+    # per transition its build context shares.
+    compiled = scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read())
+    hosted = engine._Search(Program(compiled.threads, compiled.declarations),
+                            ExplorationConfig(max_depth_per_thread=6))
+    hosted.run()
+    assert hosted.report.traces > 1 and hosted.index.plans == {}
+    search = _deep_lib_search()
+    search.run()
+    serials = {t.serial for t, _ in search.ctx.transitions.values()}
+    assert search.index.plans and set(search.index.plans) <= serials
 
 
 def _joins_crashing_thread(crash_at_once):

@@ -5,8 +5,11 @@ Each scenario has one to three threads that run at most five operations in
 all, over two mutexes, a semaphore, a condition variable and two shared
 variables.  Threads keep a local that reads and writes go through, branch on
 it, and loop with `repeat` and with `while` over a local counter, each at
-most twice, so every scenario terminates.  The examples are derandomized, so
-the suite runs the same cases every time.
+most twice, so every scenario terminates.  Each program is also explored with
+its threads run as host generators, which the search re-drives on every
+backtrack instead of resuming them from the snapshots: both runs must give
+equal reports and traces.  The examples are derandomized, so the suite runs
+the same cases every time.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracle import brute_force
 from permute.engine import BLOCKED, DEADLOCK, explore
+from permute.runtime import Program
 from permute.scenario import instantiate, parse_scenario
 
 MAX_OPS = 5
@@ -74,15 +78,20 @@ def scenarios(draw) -> str:
 @given(scenarios())
 def test_search_finds_the_oracles_deadlock_and_final_states(text):
     program = instantiate(parse_scenario(text))
-    deadlocks, finals = set(), set()
+    deadlocks, finals, traces = set(), set(), []
 
     def observe(trace):
+        traces.append(trace)
         if trace.verdict != BLOCKED:   # a pruned prefix, not an outcome
             finals.add(trace.fingerprint)
             if trace.verdict == DEADLOCK:
                 deadlocks.add(trace.fingerprint)
 
-    explore(program, observer=observe)
+    report = explore(program, observer=observe)
+    hosted = []
+    assert explore(Program(program.threads, program.declarations),
+                   observer=hosted.append) == report
+    assert hosted == traces
     oracle = brute_force(program)
     assert deadlocks == oracle.deadlock_fps
     assert finals == oracle.final_fps
