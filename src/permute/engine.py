@@ -35,11 +35,12 @@ The work per step follows what the step changed:
 - A live thread the last step did not move -- its pending transition and
   its clock are the objects the parent frame held -- was already scanned by
   the parent frame over every step but the newest, so only the newest step
-  is tested for it (see `update_backtrack_sets`).
+  is tested for it (see `_Search._init_frame`).
 - The race scan runs only when a thread with a pending read or write is new
   to the enabled set or has a new pending transition, and one of the race
   keys such an access could form is not yet seen: every other pair was
-  scanned by an ancestor frame, and its race key is already seen.
+  scanned by an ancestor frame, and its race key is already seen.  It pairs
+  only the accesses to the variables of such new accesses.
 - The clock merge walks its candidates newest first and skips a step its
   accumulating clock already covers.
 - Each compiled body step runs once per build context: `BuildContext.resume`
@@ -65,6 +66,9 @@ The work per step follows what the step changed:
   (POPL 2005), and only the computing of its state is skipped.  The keyed
   states are hash-consed, so on them the identity tests above on thread
   entries are content tests.
+- A repeated step also reuses the set-up of the frame it leads to: the
+  memo's entry for the step keeps that frame's record, so a repeat runs
+  only the full backtrack scans and no race scan (`_Search._init_frame`).
 
 Backtracking restores model state from the frame snapshots.  A compiled
 body -- every scenario thread -- keeps its state in the snapshot too, so
@@ -189,13 +193,14 @@ class TraceResult:
 class StackEntry:
     """One depth-first-search frame."""
 
-    __slots__ = ("pre_state", "key", "live", "enabled", "backtrack", "done", "sleep",
-                 "chosen", "thread_clocks", "initialized")
+    __slots__ = ("pre_state", "key", "edge", "live", "enabled", "backtrack", "done",
+                 "sleep", "chosen", "thread_clocks", "initialized")
 
     def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict,
-                 key: Optional[tuple] = None):
+                 key: Optional[tuple] = None, edge: Optional[list] = None):
         self.pre_state = pre_state
         self.key = key                      # the pre-state's `SuccessorMemo` key, if any
+        self.edge = edge                    # the memo's entry for the step into this frame
         self.live: list = []                # threads with a next step, in id order
         self.enabled: list = []             # the live ones that can take it, in id order
         self.backtrack: set = set()
@@ -318,8 +323,7 @@ class FootprintIndex:
 
 
 def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
-                          next_t: Transition, index: FootprintIndex,
-                          since: int = 0) -> None:
+                          next_t: Transition, index: FootprintIndex) -> None:
     """Add a backtrack point at the pre-state of the latest transition that
     is dependent with, co-enabled with, and not causally before `next_t`.
 
@@ -329,18 +333,10 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
     `coenabled` rejects every pair a create or join makes with a step of the
     thread it names.  A step is causally before `next_t` when the clock of
     `next_t`'s thread covers it (`core.happens_before`).
-
-    Only steps at positions `since` and later are tested.  The search
-    passes the newest position for a thread the last step did not move: the
-    parent frame ran this scan for the same transition with the same thread
-    clock over every older step, and nothing that decides a step's outcome
-    (the step, `next_t`, its clock, the frame the point lands in) has
-    changed since, so a point found among the older steps was already added
-    there, and adding it again changes nothing.
     """
     executor = next_t.executor
     clock = frontier.thread_clocks.get(executor, EMPTY_CLOCK).entries
-    latest = since - 1
+    latest = -1
     for positions in index.plan(next_t)[1]:
         for i in reversed(positions):
             if i <= latest:
@@ -355,7 +351,7 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
                 continue
             latest = i
             break
-    if latest < since:
+    if latest < 0:
         return
     entry = stack[latest]
     if executor in entry.enabled:
@@ -436,6 +432,9 @@ class SuccessorMemo:
     states that share a part agree on it, and two equal parts that are not
     one object (a part table started afresh between them) cost only a miss.
 
+    A step's entry also holds the record of the frame it leads to, filled
+    in when the search first sets that frame up (`_Search._init_frame`).
+
     Each table holds at most `SUCCESSOR_MEMO_BOUND` entries: a full step map
     drops its oldest step, and a full part or fingerprint table starts
     afresh.
@@ -444,25 +443,27 @@ class SuccessorMemo:
     __slots__ = ("steps", "fingerprints", "objects", "threads")
 
     def __init__(self):
-        self.steps: dict = {}          # (state key, thread) -> (StepOutcome, successor key)
+        # (state key, thread) -> [StepOutcome, successor key, frame record or None]
+        self.steps: dict = {}
         self.fingerprints: dict = {}   # state key -> fingerprint
         # Content key -> the part with that content, one table per kind.
         self.objects: dict = {}
         self.threads: dict = {}
 
     def step(self, session: RuntimeSession, state: ModelState, key: Optional[tuple],
-             tid: ThreadId, ctx: BuildContext) -> tuple:
-        """(`execute_step(session, state, tid, ctx)`, the key of its state),
-        run once per recent step from a state with `key`.  A state without a
-        key has successors without one."""
+             tid: ThreadId, ctx: BuildContext) -> list:
+        """The entry [`execute_step(session, state, tid, ctx)`, the key of
+        its state, the record of the frame it leads to], run once per recent
+        step from a state with `key`.  A state without a key has successors
+        without one."""
         if key is None:
-            return execute_step(session, state, tid, ctx), None
+            return [execute_step(session, state, tid, ctx), None, None]
         edge = key, tid
         steps = self.steps
         known = steps.get(edge)
         if known is None:
             outcome = execute_step(session, state, tid, ctx)
-            known = outcome, self.key(outcome.state, state, key, outcome.transition)
+            known = [outcome, self.key(outcome.state, state, key, outcome.transition), None]
             if known[1] is not None:
                 steps[edge] = known
                 if len(steps) > SUCCESSOR_MEMO_BOUND:
@@ -621,17 +622,23 @@ class _Search:
     def _scan_races(self, frame: StackEntry, new: Optional[list] = None) -> None:
         """Report each race key first formed by two enabled accesses of the
         frame.  `new`, when given, lists the pending accesses new to the
-        frame; any other pair was scanned by an ancestor frame.  When every
-        key a new access could form is already seen, the scan is skipped."""
+        frame; any other pair was scanned by an ancestor frame, and its race
+        key is already seen.  So only the variables of new accesses that
+        could still form an unseen key are scanned, in the same order, and
+        when there are none the scan is skipped."""
         seen = self.race_seen
-        if new is not None and all(
-                (t.object_name, _READ_WRITE) in seen
-                and (t.kind == "read" or (t.object_name, _WRITES) in seen) for t in new):
-            return
+        variables = None
+        if new is not None:
+            variables = {t.object_name for t in new
+                         if (t.object_name, _READ_WRITE) not in seen
+                         or (t.kind == "write" and (t.object_name, _WRITES) not in seen)}
+            if not variables:
+                return
         accesses = {}
         for tid in frame.enabled:
             pending = frame.pre_state.pending_of(tid)
-            if pending.kind in ("read", "write"):
+            if pending.kind in ("read", "write") and (
+                    variables is None or pending.object_name in variables):
                 accesses.setdefault(pending.object_name, []).append((tid, pending.kind))
         idx = self.report.traces
         for var in sorted(accesses):
@@ -668,6 +675,29 @@ class _Search:
         tests on thread entries are content tests.  An entry equal to the
         parent's but not the same object (its part table started afresh
         between them) only costs the full treatment.
+
+        A frame reached by a memoized step -- its edge, the pre-state's key
+        and the thread that moved -- keeps a record in the memo's entry for
+        that step: its live and enabled lists, the threads the tests of the
+        newest step added to the parent frame's backtrack set, and the
+        pending transitions whose thread or clock the step changed, which
+        are scanned over the whole trace.  The record depends only on the
+        edge:
+
+        - keyed states are hash-consed, so the identity tests are content
+          tests;
+        - `parent.live` and `parent.enabled` depend only on the parent's
+          key;
+        - the budget is fixed for the whole search;
+        - a thread's newest-step outcome depends only on the step `t`, the
+          thread's pending transition, whether the thread's clock covers
+          the newest position (only a create target's clock does), and
+          `parent.enabled`.
+
+        So a frame reached again by the same edge installs the record and
+        runs only the full scans.  It needs no race scan: the first frame
+        of the edge left every race key its enabled accesses can form in
+        `race_seen`, and this frame has the same enabled accesses.
         """
         stack, trace, index = self.stack, self.trace, self.index
         state = frame.pre_state
@@ -679,12 +709,22 @@ class _Search:
             return
 
         parent = stack[-2]
+        edge = frame.edge
+        record = None if edge is None else edge[2]
+        if record is not None:
+            frame.live, frame.enabled, added, rescanned = record
+            parent.backtrack.update(added)
+            for pending in rescanned:
+                update_backtrack_sets(stack, trace, frame, pending, index)
+            return
+
         newest = len(trace) - 1
-        step_keys = trace[newest].key_set
+        step = trace[newest]
+        step_keys = step.key_set
         threads, parent_threads = state.threads, parent.pre_state.threads
         clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
         parent_live, parent_enabled = parent.live, parent.enabled
-        live, enabled = [], []
+        live, enabled, added, rescanned = [], [], set(), []
         new_accesses = []
         # Every thread of the program is in the table from the initial state
         # on, in id order, and successors keep that order.
@@ -706,22 +746,38 @@ class _Search:
                     if tid in parent_enabled:
                         enabled.append(tid)
                     continue
-                since = newest
+                rescan = False
             else:
                 if not info.has_step(budget):
                     continue
                 live.append(tid)
-                since = 0
-                if (parent_info.pending is pending
-                        and parent_clocks.get(tid) is clocks.get(tid)):
-                    since = newest
+                rescan = (parent_info.pending is not pending
+                          or parent_clocks.get(tid) is not clocks.get(tid))
             if pending.enabled_in(state):
                 enabled.append(tid)
                 if pending.kind in ("read", "write") and (
                         pending is not parent_info.pending or tid not in parent_enabled):
                     new_accesses.append(pending)
-            update_backtrack_sets(stack, trace, frame, pending, index, since)
+            if rescan:
+                rescanned.append(pending)
+                update_backtrack_sets(stack, trace, frame, pending, index)
+            elif pair_relations(step, pending)[1]:
+                # The parent frame ran the full scan for this transition
+                # with this clock, and nothing that decides an older step's
+                # outcome (the step, the transition, its clock, the frame
+                # the point lands in) has changed since: only the newest
+                # step is tested, directly (by the footprint contract, the
+                # scan's candidates hold it whenever the two race), and its
+                # pre-state is the parent's.  The clock is the parent's,
+                # which covers no step this late.
+                if tid in parent_enabled:
+                    added.add(tid)
+                else:
+                    added.update(parent_enabled)
+        parent.backtrack.update(added)
         frame.live, frame.enabled = live, enabled
+        if edge is not None:
+            edge[2] = live, enabled, tuple(added), tuple(rescanned)
         if new_accesses:
             self._scan_races(frame, new_accesses)
 
@@ -843,7 +899,8 @@ class _Search:
                               if body in host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
-        outcome, key = self.memo.step(self.session, frame.pre_state, frame.key, tid, self.ctx)
+        edge = self.memo.step(self.session, frame.pre_state, frame.key, tid, self.ctx)
+        outcome, key = edge[0], edge[1]
         t = outcome.transition
         frame.chosen = tid
         frame.done.add(tid)
@@ -863,7 +920,8 @@ class _Search:
             self.counted_steps += 1
         self.step_clocks.append(clock)
         self.index.push(t)
-        child = StackEntry(outcome.state, child_sleep, child_clocks, key)
+        child = StackEntry(outcome.state, child_sleep, child_clocks, key,
+                           None if key is None else edge)
         self.stack.append(child)
 
         if self.config.stop_at_first_failure and any(

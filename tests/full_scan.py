@@ -4,15 +4,18 @@ The engine sets up a frame from its parent frame and the step between them:
 it re-tests only the threads that step copied or touched, tests only the
 footprint-indexed candidates of each transition's scan plan, and only the
 newest step for a thread the last step did not move, and scans for races
-only when a new access is enabled that can form a race key not yet seen;
-its clock merge skips steps the accumulating clock already covers.  The
-reference below does none of this: every frame computes its live and enabled
-threads from the state alone, every live thread's pending transition is
-tested against every step of the trace with `happens_before`, races are
-scanned on every frame (`_scan_races(frame)`, with no new accesses named),
-and the clock of every dependent step is merged.  Installing it with
-`use_full_scans` makes `explore` search as the plain Flanagan-Godefroid
-algorithm does, so a test can compare the two.
+only when a new access is enabled that can form a race key not yet seen,
+over the variables of such accesses; a frame reached again by a memoized
+step installs the record its first set-up left and runs only the full
+scans; its clock merge skips steps the accumulating clock already covers.
+The reference below does none of this: every frame computes its live and
+enabled threads from the state alone, every live thread's pending
+transition is tested against every step of the trace with
+`happens_before`, races are scanned on every frame over every enabled
+access (`_scan_races(frame)`, with no new accesses named), no record is
+read or left, and the clock of every dependent step is merged.  Installing
+it with `use_full_scans` makes `explore` search as the plain
+Flanagan-Godefroid algorithm does, so a test can compare the two.
 """
 
 from __future__ import annotations

@@ -537,6 +537,8 @@ def test_successor_memo_holds_at_most_its_bound():
     assert len(memo.steps) == bound
     for table in (memo.objects, memo.threads, memo.fingerprints):
         assert len(table) <= bound
+    # The frame records live in the step entries and go with them.
+    assert 0 < sum(record is not None for _, _, record in memo.steps.values()) <= bound
 
 
 def test_successor_memo_runs_the_repeats_of_recent_steps_once(monkeypatch):
@@ -579,6 +581,97 @@ def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
     half = len(runs) // 2
     for (name, kw, report, traces), reference in zip(runs[:half], runs[half:]):
         assert (report, traces) == reference[2:], f"{name} {kw}"
+
+
+def _long_way_record(search, frame) -> tuple:
+    """The record of `frame` derived from its state and its parent frame
+    alone: the live and enabled threads from the state, the points that full
+    backtrack scans for the threads the step did not move add to the
+    parent's backtrack set, and the pending transitions whose thread or
+    clock the step changed.  The search's backtrack sets are left as they
+    were."""
+    state, parent, stack = frame.pre_state, search.stack[-2], search.stack
+    live = state.live_threads(search.config.max_depth_per_thread)
+    enabled = state.enabled_threads(live=live)
+    rescanned = []
+    backtracks = [entry.backtrack for entry in stack]
+    for entry in stack:
+        entry.backtrack = set()
+    for tid in live:
+        pending = state.pending_of(tid)
+        if (parent.pre_state.pending_of(tid) is not pending
+                or parent.thread_clocks.get(tid) is not frame.thread_clocks.get(tid)):
+            rescanned.append(pending)
+        else:
+            update_backtrack_sets(stack, search.trace, frame, pending, search.index)
+    added = parent.backtrack
+    for entry, backtrack in zip(stack, backtracks):
+        entry.backtrack = backtrack
+    return live, enabled, added, rescanned
+
+
+@pytest.mark.parametrize("bound", [8, None], ids=["evicting", "default"])
+def test_frame_records_equal_the_frames_derived_the_long_way(monkeypatch, bound):
+    # A frame reached again by a memoized step installs the record its edge
+    # left: each must equal the frame set up from scratch, whichever parent
+    # the frame has this time.  At bound 8 the step map drops steps on 59 of
+    # the 60 searches, and repeats are still served (at 4, the part tables
+    # start afresh before any state comes back, so no step repeats).
+    if bound is not None:
+        monkeypatch.setattr(engine, "SUCCESSOR_MEMO_BOUND", bound)
+    init = engine._Search._init_frame
+    hits = []
+
+    def audited(search, frame):
+        record = None if frame.edge is None else frame.edge[2]
+        if record is not None:
+            hits.append(record)
+            live, enabled, added, rescanned = record
+            assert (live, enabled, set(added), list(rescanned)) == _long_way_record(search, frame)
+        init(search, frame)
+
+    monkeypatch.setattr(engine._Search, "_init_frame", audited)
+    for name, path in list_scenarios():
+        for kw in AUDIT_CONFIGS:
+            explore(instantiate(parse_scenario(path.read_text())),
+                    ExplorationConfig(max_depth_per_thread=4, **kw))
+    assert len(hits) > 1000
+    assert any(added for _, _, added, _ in hits) and any(rescanned for *_, rescanned in hits)
+
+
+def test_repeated_steps_reuse_their_frame_records(monkeypatch):
+    # deep-lib takes 18,167 steps, 12,095 of them served by the memo: a
+    # served step installs its frame's record, scans again only for the
+    # threads it moved, and runs no race scan.  (Without records: 10,271
+    # race scans and 26,139 backtrack scans.)
+    calls = collections.Counter()
+    scan, scan_races = engine.update_backtrack_sets, engine._Search._scan_races
+
+    def counted_scan(*args):
+        calls["backtrack"] += 1
+        return scan(*args)
+
+    def counted_scan_races(*args):
+        calls["races"] += 1
+        return scan_races(*args)
+
+    monkeypatch.setattr(engine, "update_backtrack_sets", counted_scan)
+    monkeypatch.setattr(engine._Search, "_scan_races", counted_scan_races)
+    _deep_lib_search().run()
+    assert calls["races"] <= 3500 and calls["backtrack"] <= 16000
+
+
+def test_host_generator_programs_leave_no_frame_records(monkeypatch):
+    edges = []
+    init = engine._Search._init_frame
+    monkeypatch.setattr(engine._Search, "_init_frame",
+                        lambda search, frame: edges.append(frame.edge) or init(search, frame))
+    compiled = scenario(open("src/permute/corpus/reader_two_writers_cond.scn").read())
+    search = engine._Search(Program(compiled.threads, compiled.declarations),
+                            ExplorationConfig(max_depth_per_thread=6))
+    search.run()
+    assert len(edges) > 1 and not any(edges)
+    assert not search.memo.steps
 
 
 # -- incremental analysis ----------------------------------------------------------------
