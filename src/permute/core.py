@@ -427,8 +427,8 @@ def happens_before(i: int, trace: list, thread_clocks: dict, t: Transition) -> b
 
 class ThreadInfo:
     """One thread's status, pending transition and executed-step count, and
-    `body_state`: the immutable state its compiled body resumes from (None
-    for a body that runs as a generator, or has not started).  A clone
+    `body_state`: the immutable state its body resumes from (None for a
+    body that has not started; see `runtime.BuildContext.resume`).  A clone
     shares the pending transition and `body_state`, which are never mutated;
     fingerprints leave `body_state` out."""
 

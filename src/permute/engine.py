@@ -70,20 +70,14 @@ The work per step follows what the step changed:
   memo's entry for the step keeps that frame's record, so a repeat runs
   only the full backtrack scans and no race scan (`_Search._init_frame`).
 
-Backtracking restores model state from the frame snapshots.  A compiled
-body -- every scenario thread -- keeps its state in the snapshot too, so
-popping a frame is all it takes to move it back.  A host generator body
-cannot be rewound, so only the host bodies the popped steps resumed are
-moved back: each is restarted and re-driven through its own steps of the
-remaining prefix, with the results recorded in the snapshots, and every
-request it surfaces again must match the pending transition the snapshot
-holds (otherwise NondeterminismDetected).  A request equal to the one the
-pending transition was built from matches without a build.
+Backtracking restores model state from the frame snapshots.  Every body
+keeps its state in the snapshot too, so popping a frame is all it takes to
+move it back; how a host generator body, which cannot be rewound, gets
+back to an earlier point is `runtime.HostBody`'s business.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -101,18 +95,7 @@ from .core import (
     fingerprint,
 )
 from .primitives import POLICIES
-from .runtime import (
-    BodyCrash,
-    BuildContext,
-    NondeterminismDetected,
-    Program,
-    RuntimeSession,
-    execute_step,
-    initial_state,
-    moved_bodies,
-    schedule_step,
-    surfaced_transition,
-)
+from .runtime import BuildContext, Program, execute_step, initial_state, schedule_step
 
 # Trace verdicts.
 COMPLETED = "completed"
@@ -360,17 +343,6 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
         entry.backtrack.update(entry.enabled)
 
 
-def _same_request(op, recorded) -> bool:
-    """Whether a re-surfaced request builds the transition built from
-    `recorded` without building it.  A build takes the kind, object name
-    and payload a schedule step shows from its request alone, so an equal
-    request surfaces an equal step; payload values must also match in type,
-    at any depth, since equal values of different types (1, 1.0, True)
-    print apart."""
-    return op is not None and (op is recorded or (
-        op == recorded and exact_key(op.payload) == exact_key(recorded.payload)))
-
-
 def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
     """No thread is enabled: normal completion, true deadlock, or a cut by
     the per-thread budget.
@@ -409,8 +381,8 @@ class SuccessorMemo:
     and hands the recorded outcome to every repeat.  It prunes nothing: the
     search explores every frame it would explore without it, with the same
     backtrack and sleep sets, and only skips computing a successor it has
-    computed before.  A host generator body cannot be skipped or rewound, so
-    no state of a program with host threads is keyed, and all its steps run.
+    computed before.  No state of a program with host threads is keyed: a
+    host body's steps all run, so that its re-drives check it.
 
     A state's key is made of its parts -- its objects, its thread entries,
     and the content of the variable and spurious-wakeup tables -- and the
@@ -450,19 +422,19 @@ class SuccessorMemo:
         self.objects: dict = {}
         self.threads: dict = {}
 
-    def step(self, session: RuntimeSession, state: ModelState, key: Optional[tuple],
-             tid: ThreadId, ctx: BuildContext) -> list:
-        """The entry [`execute_step(session, state, tid, ctx)`, the key of
-        its state, the record of the frame it leads to], run once per recent
-        step from a state with `key`.  A state without a key has successors
-        without one."""
+    def step(self, state: ModelState, key: Optional[tuple], tid: ThreadId,
+             ctx: BuildContext) -> list:
+        """The entry [`execute_step(state, tid, ctx)`, the key of its state,
+        the record of the frame it leads to], run once per recent step from
+        a state with `key`.  A state without a key has successors without
+        one."""
         if key is None:
-            return [execute_step(session, state, tid, ctx), None, None]
+            return [execute_step(state, tid, ctx), None, None]
         edge = key, tid
         steps = self.steps
         known = steps.get(edge)
         if known is None:
-            outcome = execute_step(session, state, tid, ctx)
+            outcome = execute_step(state, tid, ctx)
             known = [outcome, self.key(outcome.state, state, key, outcome.transition), None]
             if known[1] is not None:
                 steps[edge] = known
@@ -557,16 +529,14 @@ class _Search:
         self.report = ExplorationReport()
         self.ctx = BuildContext(program, config.policy_overrides,
                                 config.max_spurious_wakeups)
-        self.session = RuntimeSession(program, self.ctx)
-        state0 = initial_state(program, self.session, self.ctx)
+        state0 = initial_state(self.ctx)
         self.memo = SuccessorMemo()
         # A host body runs every step it takes: no state of it is keyed.
-        key = None if self.session.host_threads else self.memo.key(state0)
+        key = None if self.ctx.host_threads else self.memo.key(state0)
         self.stack = [StackEntry(state0, {}, {0: EMPTY_CLOCK}, key)]
         self.trace: list = []
         self.step_clocks: list = []
         self.index = FootprintIndex()
-        self.moved: set = set()   # host threads whose bodies are ahead of the trace
         self.race_seen: set = set()
         self.counted_steps = 0    # steps of the trace that are not exits
         self.segment_findings: list = []
@@ -799,56 +769,6 @@ class _Search:
                     clock = clock.merged(step_clocks[j])
         return clock.with_entry(t.executor, len(trace) + 1)
 
-    # -- session repositioning -------------------------------------------
-
-    def _redrive(self) -> None:
-        """Restart each moved host body and drive it through its own steps
-        of the trace.  Findings were recorded when the steps first ran and
-        are not recorded again."""
-        stack, trace, index = self.stack, self.trace, self.index
-        for tid in sorted(self.moved):
-            self.session.rewind(tid)
-            if tid == 0:   # thread 0 is started by the search, not a create
-                self._check_surfaced(tid, -1, None, None)
-            # Its create (among the steps targeting it), then its own steps.
-            for i in heapq.merge(index.targeting.get(tid, ()), index.executed.get(tid, ())):
-                t = trace[i]
-                for body, after in moved_bodies(t):
-                    if body == tid:
-                        result = None if after is None else t.result_in(stack[i].pre_state)
-                        self._check_surfaced(tid, i, after, result)
-        self.moved.clear()
-
-    def _check_surfaced(self, tid: ThreadId, i: int, after, result) -> None:
-        """Resume host body `tid` past its step `after` (None: start it) and
-        compare what it surfaces with the pending transition recorded after
-        step i (-1: at its start)."""
-        try:
-            op = self.session.resume(tid, after, result)
-            crash = None
-        except BodyCrash as exc:
-            op, crash = None, exc
-        state = self.stack[i + 1].pre_state
-        expected = state.threads[tid].pending
-        if crash is None:
-            if expected is not None and _same_request(op, expected.request):
-                return
-            # A divergent request may name a new object: build it on a copy
-            # of the object table so that the snapshot stays as recorded.
-            scratch = ModelState(dict(state.objects), state.threads,
-                                 state.shared_vars, state.spurious_used)
-            surfaced = schedule_step(surfaced_transition(tid, op, scratch, self.ctx))
-            # The same test a replay makes against a recorded step.
-            if expected is not None and surfaced == schedule_step(expected):
-                return
-        elif expected is None:
-            return
-        else:
-            surfaced = f"a crash ({crash.cause!r})"
-        recorded = "a crash" if expected is None else schedule_step(expected)
-        raise NondeterminismDetected(
-            i + 1, f"thread {tid} re-executed to {surfaced}, recorded {recorded}")
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ExplorationReport:
@@ -877,8 +797,6 @@ class _Search:
             if tid is None:
                 self._pop()
                 continue
-            if self.moved:
-                self._redrive()
             self._execute(frame, tid)
         return self.report
 
@@ -893,13 +811,9 @@ class _Search:
         self.index.pop()
         if self.config.sleep_sets_enabled:
             self.stack[-1].sleep[executed.sleep_key] = executed
-        host_threads = self.session.host_threads
-        if host_threads:
-            self.moved.update(body for body, _ in moved_bodies(executed)
-                              if body in host_threads)
 
     def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
-        edge = self.memo.step(self.session, frame.pre_state, frame.key, tid, self.ctx)
+        edge = self.memo.step(frame.pre_state, frame.key, tid, self.ctx)
         outcome, key = edge[0], edge[1]
         t = outcome.transition
         frame.chosen = tid

@@ -833,8 +833,9 @@ class ThreadCreate(_ThreadOp):
 
     def apply(self, s):
         child = s.threads[self.thread_target]
-        if child.status == EMBRYO:
-            child.status = RUNNABLE
+        if child.status != EMBRYO:
+            raise ProgramError(f"thread {self.thread_target} spawned twice")
+        child.status = RUNNABLE
 
 
 @register

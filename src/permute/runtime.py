@@ -2,20 +2,24 @@
 
 A body yields a visible-operation request, the engine decides when to run
 it, and the request's result (for reads) is delivered when the body
-resumes.  Between two requests a body may only do thread-local work.  A
-body comes in one of two forms:
+resumes.  Between two requests a body may only do thread-local work.
+Every body runs behind one interface, that of compiled code: `start()` and
+`resume(state, result)` return the thread's next request and the immutable
+state to resume it from.  That body state is kept in the thread's
+`ThreadInfo`, so every model-state snapshot holds each thread's body state
+too, and a thread resumes from any snapshot.  A body comes in one of two
+forms:
 
-- Compiled code (`Program.codes`), as every scenario thread is: its whole
-  state is an immutable value kept in the thread's `ThreadInfo`, so every
-  model-state snapshot holds each thread's body state too, and a thread
-  resumes from any snapshot.  Its steps are pure functions of their
-  inputs, so `BuildContext.resume` runs each distinct step once per build
-  context and installs the recorded outcome on every later one.
-- A host generator.  Given the same sequence of delivered results it must
-  emit the same requests; that determinism contract is what lets the engine
-  restart a generator and re-drive it through its steps instead of forking
-  the process, and it is checked on every re-drive and every replay.
-  `RuntimeSession` owns the live generators and runs every step anew.
+- Compiled code (`Program.codes`), as every scenario thread is.  Its steps
+  are pure functions of their inputs, so `BuildContext.resume` runs each
+  distinct step once per build context and installs the recorded outcome
+  on every later one.
+- A host generator, which the build context wraps in a `HostBody`, the only
+  code that knows a generator cannot be rewound.  Given the same sequence
+  of delivered results it must emit the same requests; that determinism
+  contract is what lets the wrapper restart a generator and re-drive it
+  through its history instead of forking the process, and it is checked
+  on every re-drive and every replay.  Each of its steps runs anew.
 
 `BuildContext.next_request` runs one step of either form.  Wait-style
 requests (`sem_wait`, `cond_wait`, `lock` under a queued policy, read/write
@@ -49,7 +53,10 @@ from . import primitives as prim
 
 
 class NondeterminismDetected(Exception):
-    """A replayed body diverged from the recorded schedule."""
+    """A body diverged from what it did before.  `step` counts from 0: a
+    replay (`ReplayCursor`) names the schedule step that diverged, and a
+    host body re-driven to an earlier point (`HostBody`) the position, in
+    its own history, of the request it surfaced differently."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -149,17 +156,19 @@ class Program:
     """A checkable program: ordered thread bodies plus object declarations.
 
     Thread ids follow list order; thread 0 starts runnable, the rest run
-    only after a create names them.  Rebuilding bodies from the factories
-    must produce identical behaviour -- the determinism contract.
+    only after a create names them, and only once.  Rebuilding bodies from
+    the factories must produce identical behaviour -- the determinism
+    contract.
 
     `codes`, when given, holds per thread either None, for a thread that
-    runs as its generator body, or its compiled code: an object whose
-    `start()` and `resume(state, result)` return the thread's next request
-    (None once it returned) and the immutable state to resume it from.
-    `start()` must always return the same, and `resume(state, result)` must
-    be a pure function of its arguments: the runtime memoizes both per build
-    context, and runs them again only for a key it has not seen (equal
-    values of other types count as other keys) or cannot hash.
+    runs as its generator body (behind a `HostBody`), or its compiled
+    code: an object whose `start()` and `resume(state, result)` return the
+    thread's next request (None once it returned) and the immutable state
+    to resume it from.  `start()` must always return the same, and
+    `resume(state, result)` must be a pure function of its arguments: the
+    runtime memoizes both per build context, and runs them again only for a
+    key it has not seen (equal values of other types count as other keys)
+    or cannot hash.
     """
 
     def __init__(self, threads: list, declarations: list = (),  # type: ignore[assignment]
@@ -217,7 +226,9 @@ class BuildContext:
     """Everything transition building needs: the program, object identity,
     and the resolved policy/spurious configuration.
 
-    It also steps compiled threads (`resume`) and keeps two memos:
+    It also steps every thread (`resume`), each behind the compiled-code
+    interface: a thread without compiled code runs its generator behind a
+    `HostBody`.  It keeps two memos for the steps of compiled threads:
 
     - The step table.  A compiled thread's step is a pure function of the
       thread, the step it resumes past, its body state and the step's
@@ -238,10 +249,11 @@ class BuildContext:
     created in the state if it lacks it.  A step whose key or request is
     unhashable, or that resumes past a transition that is not interned,
     runs and builds every time, which keeps both tables bounded by the
-    program's distinct steps; so does every step of a host thread
-    (`RuntimeSession`), whose requests may carry a fresh closure on every
-    re-drive.  The split halves of each wait request are built once per
-    context, so every execution of a wait surfaces the same objects.
+    program's distinct steps.  So does every step of a host thread
+    (`host_threads`): a memo hit would skip the re-drive that catches a
+    nondeterministic body, and its requests may carry a fresh closure on
+    every re-drive.  The split halves of each wait request are built once
+    per context, so every execution of a wait surfaces the same objects.
     """
 
     def __init__(self, program: Program, policy_overrides: Optional[dict] = None,
@@ -251,6 +263,10 @@ class BuildContext:
         self.policy_overrides = dict(policy_overrides or {})
         self.max_spurious = max_spurious
         self.decls = {d.name: d for d in program.declarations}
+        self.codes = [HostBody(tid, program.body_factory(tid)) if code is None else code
+                      for tid, code in enumerate(program.codes)]
+        self.host_threads = frozenset(
+            tid for tid, code in enumerate(program.codes) if code is None)
         # (thread, request, `exact_key` of its payload) -> (transition,
         # objects it ensured), each transition numbered by its `serial`, in
         # insertion order.
@@ -307,11 +323,13 @@ class BuildContext:
 
     def resume(self, tid: ThreadId, body_state, after: Optional[Transition], result,
                state: ModelState) -> tuple:
-        """Compiled thread `tid`'s body state and pending transition after
-        its step `after` (None: at its start), which returned `result`,
-        resumed from `body_state`, with every object the transition needs
-        created in `state` (an owned snapshot).  A body that raises raises
-        BodyCrash."""
+        """Thread `tid`'s body state and pending transition after its step
+        `after` (None: at its start), which returned `result`, resumed from
+        `body_state`, with every object the transition needs created in
+        `state` (an owned snapshot).  A body that raises raises BodyCrash."""
+        if tid in self.host_threads:
+            op, body_state = self.next_request(tid, body_state, after, result)
+            return body_state, surfaced_transition(tid, op, state, self)
         key = _step_key(tid, body_state, after, result)
         try:
             step = self.steps.get(key)
@@ -337,28 +355,26 @@ class BuildContext:
         return body_state, t
 
     def next_request(self, tid: ThreadId, body_state, after: Optional[Transition],
-                     result, generator=None) -> tuple:
+                     result) -> tuple:
         """Thread `tid`'s next request and its body state there, run anew:
         its first when `after` is None, else the one after its step `after`,
-        which returned `result`, resumed from `body_state`, or from
-        `generator`, a host thread's live body.  The request is None once the
-        body returned.  An enqueue half is followed by its finish half
-        without resuming the body.  A body that raises raises BodyCrash."""
+        which returned `result`, resumed from `body_state`.  The request is
+        None once the body returned.  An enqueue half is followed by its
+        finish half without resuming the body.  A body that raises raises
+        BodyCrash; a host body that diverges when re-driven raises
+        NondeterminismDetected."""
         if after is not None:
             finish = self._finish_of(after.request)
             if finish is not None:
                 return finish, body_state
+        code = self.codes[tid]
         try:
-            if generator is not None:
-                req = next(generator) if after is None else generator.send(result)
+            if after is None:
+                req, body_state = code.start()
             else:
-                code = self.program.codes[tid]
-                if after is None:
-                    req, body_state = code.start()
-                else:
-                    req, body_state = code.resume(body_state, result)
-        except StopIteration:
-            return None, body_state
+                req, body_state = code.resume(body_state, result)
+        except NondeterminismDetected:
+            raise
         except Exception as exc:  # body fault: the crash-finding path
             raise BodyCrash(tid, exc) from exc
         return self._surfaced(req), body_state
@@ -432,40 +448,77 @@ def _step_key(tid: ThreadId, body_state, after: Optional[Transition], result):
 
 
 # ---------------------------------------------------------------------------
-# Sessions
+# Host bodies
 # ---------------------------------------------------------------------------
 
 
-class RuntimeSession:
-    """Resumes the host-generator bodies of one execution attempt.
+class HostBody:
+    """A host generator body behind the compiled-code interface.
 
-    A compiled thread resumes from the body state its snapshot holds,
-    through the build context, so the session keeps nothing for it.  A host
-    thread is a live generator, owned here, that cannot be rewound: it
-    starts once, and again only after `rewind`.
+    Its body state names the body's history: a state is the tuple
+    (previous state or None, the result delivered to get here, the request
+    surfaced here, None once the body returned).  The wrapper keeps the
+    live generator at the newest state it handed out, so a resume from
+    there is one `send`.  A resume from any other state restarts the
+    factory and re-drives the body through that state's history; every
+    request it surfaces again must equal the recorded one (`_same_request`),
+    otherwise NondeterminismDetected.
     """
 
-    def __init__(self, program: Program, ctx: BuildContext):
-        self.program = program
-        self.ctx = ctx
-        self.host_threads = frozenset(
-            tid for tid, code in enumerate(program.codes) if code is None)
-        self._generators: dict = {}
+    __slots__ = ("tid", "factory", "generator", "at")
 
-    def resume(self, tid: ThreadId, after: Optional[Transition] = None,
-               result=None) -> Optional[OpRequest]:
-        """Host thread `tid`'s next request (`BuildContext.next_request`):
-        its first when `after` is None, else the one after its step `after`,
-        which returned `result`."""
-        if after is None:
-            if tid in self._generators:
-                raise ProgramError(f"thread {tid} spawned twice")
-            self._generators[tid] = self.program.body_factory(tid)()
-        return self.ctx.next_request(tid, None, after, result, self._generators[tid])[0]
+    def __init__(self, tid: ThreadId, factory: BodyFactory):
+        self.tid = tid
+        self.factory = factory
+        self.generator = None
+        self.at = None   # the state the live generator is at
 
-    def rewind(self, tid: ThreadId) -> None:
-        """Drop a host thread's generator so that it can start afresh."""
-        self._generators.pop(tid, None)
+    def start(self) -> tuple:
+        self.generator = self.factory()
+        return self._send(None, None)
+
+    def resume(self, state: tuple, result) -> tuple:
+        if state is not self.at:
+            self._redrive(state)
+        return self._send(state, result)
+
+    def _send(self, state: Optional[tuple], result) -> tuple:
+        """The live generator's next request, `result` delivered, and the
+        state there, which follows `state`."""
+        self.at = None   # until the generator is known to be at a state
+        try:
+            request = self.generator.send(result)
+        except StopIteration:
+            request = None
+        self.at = state = (state, result, request)
+        return request, state
+
+    def _redrive(self, state: tuple) -> None:
+        """Restart the body and drive it through the history `state` names."""
+        history = []
+        while state is not None:
+            history.append(state)
+            state = state[0]
+        self.generator = self.factory()
+        for step, (previous, result, recorded) in enumerate(reversed(history)):
+            try:
+                request = self._send(previous, result)[0]
+            except Exception as exc:   # a crash where the body had surfaced a request
+                request = f"a crash ({exc!r})"
+            if not _same_request(request, recorded):
+                raise NondeterminismDetected(
+                    step, f"thread {self.tid} re-executed to {request}, recorded {recorded}")
+
+
+def _same_request(request, recorded: Optional[OpRequest]) -> bool:
+    """Whether a re-surfaced request is the recorded one: equal apart from
+    the identity of its predicate (a body may build a new closure on every
+    run), with payload values equal in type too, at any depth, since equal
+    values of different types (1, 1.0, True) print apart."""
+    return request is recorded or (
+        isinstance(request, OpRequest) and recorded is not None
+        and replace(request, predicate=recorded.predicate) == recorded
+        and exact_key(request.payload) == exact_key(recorded.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +556,18 @@ class StepOutcome:
     findings: list
 
 
-def initial_state(program: Program, session: RuntimeSession,
-                  ctx: BuildContext) -> ModelState:
-    """Fresh model state with thread 0 started and at its first operation."""
+def initial_state(ctx: BuildContext) -> ModelState:
+    """Fresh model state of `ctx`'s program with thread 0 started and at its
+    first operation."""
+    program = ctx.program
     state = ModelState()
     for tid in range(len(program.threads)):
         state.threads[tid] = ThreadInfo(RUNNABLE if tid == 0 else EMBRYO)
     for decl in program.declarations:
         if decl.kind == "var":
             state.shared_vars[decl.name] = decl.attrs.get("init", 0)
-    _resume_into(state, 0, None, None, session, ctx)
+    info = state.threads[0]
+    info.body_state, info.pending = ctx.resume(0, None, None, None, state)
     return state
 
 
@@ -521,7 +576,7 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
     """A new build of the pending transition for a request a body surfaced,
     which keeps the request; a body that returned (`op` None) has its exit
     step pending.  Compiled threads take it from `BuildContext.resume`,
-    which builds each one once."""
+    which builds each one once; host threads build it on every step."""
     if op is None:
         return prim.ThreadExit(tid)
     t = build_transition(tid, op, state, ctx)
@@ -529,21 +584,7 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
     return t
 
 
-def moved_bodies(t: Transition) -> tuple:
-    """The bodies a granted transition resumes, in order, as (thread, step)
-    pairs, the step being what to resume the thread past (None: start it):
-    the executor past `t` (an exit resumes nothing), then the child a create
-    starts."""
-    kind = t.kind
-    if kind == "exit":
-        return ()
-    if kind == "create":
-        return ((t.executor, t), (t.thread_target, None))
-    return ((t.executor, t),)
-
-
-def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
-                 ctx: BuildContext) -> StepOutcome:
+def execute_step(state: ModelState, tid: ThreadId, ctx: BuildContext) -> StepOutcome:
     """Run one granted transition: apply it to the model, resume the bodies
     it moves to their next visible operation, and install their new pending
     transitions and body states."""
@@ -560,31 +601,23 @@ def execute_step(session: RuntimeSession, state: ModelState, tid: ThreadId,
     result = t.result_in(state)
 
     new_state = t.apply_to(state)
-    if t.kind != "exit":
-        new_state.threads[tid].executed += 1
-    for body, after in moved_bodies(t):
+    if t.kind == "exit":
+        return StepOutcome(new_state, t, findings)
+    new_state.threads[tid].executed += 1
+    # The bodies `t` moves, each with the step to resume it past (None:
+    # start it): the executor, then the child a create starts.
+    moved = ((tid, t), (t.thread_target, None)) if t.kind == "create" else ((tid, t),)
+    for body, after in moved:
+        info = new_state.threads[body]
         try:
-            _resume_into(new_state, body, after, result, session, ctx)
+            info.body_state, info.pending = ctx.resume(body, info.body_state, after, result,
+                                                       new_state)
         except BodyCrash as crash:
             findings.append(Finding("crash", str(crash)))
-            info = new_state.threads[body]
             info.status = EXITED
             info.pending = None
 
     return StepOutcome(new_state, t, findings)
-
-
-def _resume_into(state: ModelState, tid: ThreadId, after: Optional[Transition], result,
-                session: RuntimeSession, ctx: BuildContext) -> None:
-    """Resume thread `tid` past its step `after` (None: start it), which
-    returned `result`, and install its new body state and pending
-    transition in `state`, an owned snapshot.  A compiled thread steps
-    through the context's memo; a host thread's request is built anew."""
-    info = state.threads[tid]
-    if tid in session.host_threads:
-        info.pending = surfaced_transition(tid, session.resume(tid, after, result), state, ctx)
-    else:
-        info.body_state, info.pending = ctx.resume(tid, info.body_state, after, result, state)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +661,7 @@ class ReplayCursor:
         self.ctx = ctx if ctx is not None else BuildContext(program, policy_overrides,
                                                             max_spurious)
         self.budget = budget
-        self.session = RuntimeSession(program, self.ctx)
-        self.state = initial_state(program, self.session, self.ctx)
+        self.state = initial_state(self.ctx)
         self.position = 0
         self.findings: list = []
 
@@ -650,7 +682,7 @@ class ReplayCursor:
         if not self.state.thread_enabled(tid, self.budget):
             raise NondeterminismDetected(
                 self.position, f"recorded transition {schedule_step(pending)} is not enabled")
-        outcome = execute_step(self.session, self.state, tid, self.ctx)
+        outcome = execute_step(self.state, tid, self.ctx)
         self.state = outcome.state
         self.findings.extend(outcome.findings)
         self.position += 1

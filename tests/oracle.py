@@ -1,11 +1,13 @@
 """Brute-force interleaving enumeration, independent of the DPOR engine.
 
 Explores every schedule with no pruning of any kind: at each state it
-branches over every enabled thread.  Shares the primitive semantics and the
-runtime stepping (those are not under test here) but none of the search
-machinery -- backtrack sets, sleep sets, and clock vectors are deliberately
-absent.  Used as the ground truth for deadlock sets, assertion verdicts,
-and final-state fingerprints.
+branches over every enabled thread, each branch stepping from the state
+itself (a step leaves its pre-state as it was, and every body resumes from
+the state alone).  Shares the primitive semantics and the runtime stepping
+(those are not under test here) but none of the search machinery --
+backtrack sets, sleep sets, and clock vectors are deliberately absent.
+Used as the ground truth for deadlock sets, assertion verdicts, and
+final-state fingerprints.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from permute.core import RUNNABLE, fingerprint
-from permute.runtime import BuildContext, RuntimeSession, execute_step, initial_state
+from permute.runtime import BuildContext, execute_step, initial_state
 
 
 @dataclass
@@ -43,28 +45,6 @@ def _context(program, config):
     return ctx, config.max_depth_per_thread
 
 
-def fresh_session_at(program, ctx, path):
-    """A new session and its state after running the schedule `path` from the
-    start."""
-    session = RuntimeSession(program, ctx)
-    state = initial_state(program, session, ctx)
-    for tid in path:
-        state = execute_step(session, state, tid, ctx).state
-    return session, state
-
-
-def _branch(program, ctx, session, state, path, k):
-    """The session and state to run branch `k` of `state` from, `path` being
-    the schedule that reached it.  A step leaves its pre-state as it was
-    and compiled bodies resume from the state alone, so every branch of a
-    program without host threads starts from `state` itself.  A generator
-    cannot be forked: with host threads, each branch but the first rebuilds
-    its prefix."""
-    if k == 0 or not session.host_threads:
-        return session, state
-    return fresh_session_at(program, ctx, path)
-
-
 def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
     """Enumerate every interleaving of `program` under `config` limits."""
     ctx, budget = _context(program, config)
@@ -85,9 +65,7 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
             if len(kinds) >= 2 and "write" in kinds:
                 result.race_vars.add(var)
 
-    path = []
-
-    def rec(session, state):
+    def rec(state):
         if result.traces >= max_traces:
             raise RuntimeError("brute force exceeded the trace limit")
         enabled = state.enabled_threads(budget)
@@ -100,15 +78,12 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
                 result.deadlock_traces += 1
             return
         scan_races(state, enabled)
-        for k, tid in enumerate(enabled):
-            session, state = _branch(program, ctx, session, state, path, k)
-            outcome = execute_step(session, state, tid, ctx)
+        for tid in enabled:
+            outcome = execute_step(state, tid, ctx)
             note_findings(outcome.findings, state)
-            path.append(tid)
-            rec(session, outcome.state)
-            path.pop()
+            rec(outcome.state)
 
-    rec(*fresh_session_at(program, ctx, path))
+    rec(initial_state(ctx))
     return result
 
 
@@ -121,8 +96,8 @@ class StateGraph:
 
 def state_key(state) -> tuple:
     """What tells two reachable states apart: the fingerprint, and each
-    thread's body state, which the fingerprint leaves out but which decides
-    what the thread does next."""
+    thread's body state (a host thread's history), which the fingerprint
+    leaves out but which decides what the thread does next."""
     return fingerprint(state), tuple(state.threads[tid].body_state
                                      for tid in sorted(state.threads))
 
@@ -132,9 +107,8 @@ def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
     `state_key` (each state expanded once, whatever path reached it)."""
     ctx, budget = _context(program, config)
     graph = StateGraph()
-    path = []
 
-    def rec(session, state):
+    def rec(state):
         key = state_key(state)
         if key in graph.states:
             return
@@ -148,12 +122,8 @@ def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
             if _classify_deadlock(state, budget):
                 graph.deadlock_fps.add(fp)
             return
-        for k, tid in enumerate(enabled):
-            session, state = _branch(program, ctx, session, state, path, k)
-            outcome = execute_step(session, state, tid, ctx)
-            path.append(tid)
-            rec(session, outcome.state)
-            path.pop()
+        for tid in enabled:
+            rec(execute_step(state, tid, ctx).state)
 
-    rec(*fresh_session_at(program, ctx, path))
+    rec(initial_state(ctx))
     return graph

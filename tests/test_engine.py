@@ -224,15 +224,19 @@ def test_oracles_keep_states_that_differ_only_in_thread_locals():
     # After `b` writes x back to 0, the states where `a` read 0 and where it
     # read 1 have one fingerprint; only `a`'s local tells them apart, and
     # only the second writes y.
+    # A host thread's body state, its history, tells them apart too.
     program = scenario("mutex m\nvar x = 0\nvar y = 0\n"
                        "thread a { r = read x; lock m; if (r == 1) { write y 1; } unlock m; }\n"
                        "thread b { write x 1; write x 0; }\n")
     finals = brute_force(program).final_fps
     assert len(finals) == 2
-    assert reachable_states(program).final_fps == finals
-    traces = []
-    explore(program, observer=traces.append)
-    assert {tr.fingerprint for tr in traces if tr.verdict != BLOCKED} == finals
+    hosted = Program(program.threads, program.declarations)
+    assert brute_force(hosted).final_fps == finals
+    for form in (program, hosted):
+        assert reachable_states(form).final_fps == finals
+        traces = []
+        explore(form, observer=traces.append)
+        assert {tr.fingerprint for tr in traces if tr.verdict != BLOCKED} == finals
 
 
 def test_budget_limits_thread_appearances():
@@ -368,6 +372,24 @@ def test_fresh_assert_closure_per_build_is_not_a_divergence():
     # Nor does the successor memo key a host program's states.
     memo = search.memo
     assert not (memo.steps or memo.objects or memo.threads or memo.fingerprints)
+
+
+def test_rebuilt_assert_naming_other_variables_is_detected():
+    # Same kind, message and predicate: only the variables the re-surfaced
+    # assertion names differ, which its schedule step does not show.
+    builds = itertools.count()
+
+    def checker():
+        var_refs = ("x",) if next(builds) == 0 else ("y",)
+        yield ops.assert_check(lambda shared: shared["x"] == 0, "x is zero", var_refs=var_refs)
+        yield from _lock_unlock()
+
+    program = Program([("main", _create_and_join("a", "b")), ("a", checker),
+                       ("b", _lock_unlock)],
+                      [ObjectDecl("x", "var", {"init": 0}), ObjectDecl("y", "var", {"init": 0})])
+    with pytest.raises(NondeterminismDetected,
+                       match=r"thread 1 re-executed to .*var_refs=\('y',\)"):
+        explore(program)
 
 
 class _Script:
@@ -556,18 +578,32 @@ def test_successor_memo_runs_the_repeats_of_recent_steps_once(monkeypatch):
     assert next(runs) <= 7000
 
 
-@pytest.mark.parametrize("bound", [4, None], ids=["filled", "default"])
+@pytest.mark.parametrize("bound", [8, None], ids=["filled", "default"])
 def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
     # The memo only skips computing successors: with it (filled so early
-    # that its part tables start afresh on every program, or at its default
-    # bound, None) and without it (no state keyed, as for an unhashable
-    # value), every report and every trace must be the same.
+    # that it drops steps on nearly every program, or at its default bound,
+    # None) and without it (no state keyed, as for an unhashable value),
+    # every report and every trace must be the same.  The keyed runs must
+    # serve some steps from the memo, or the comparison shows nothing.
     programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
                 for name, path in list_scenarios()]
     programs += [("racing_writes", _racing_writes),
                  ("mixed_writes", lambda: _mixed_writes(True))]
     if bound is not None:
         monkeypatch.setattr(engine, "SUCCESSOR_MEMO_BOUND", bound)
+    counts = collections.Counter()
+    step, run = engine.SuccessorMemo.step, engine.execute_step
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counted_run(*args):
+        counts["runs"] += 1
+        return run(*args)
+
+    monkeypatch.setattr(engine.SuccessorMemo, "step", counted_step)
+    monkeypatch.setattr(engine, "execute_step", counted_run)
     runs = []
     for keyed in (True, False):
         if not keyed:
@@ -578,6 +614,8 @@ def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
                 report = explore(program(), ExplorationConfig(max_depth_per_thread=4, **kw),
                                  observer=traces.append)
                 runs.append((name, kw, report, traces))
+        if keyed:
+            assert counts["steps"] > counts["runs"], "no step was served from the memo"
     half = len(runs) // 2
     for (name, kw, report, traces), reference in zip(runs[:half], runs[half:]):
         assert (report, traces) == reference[2:], f"{name} {kw}"
@@ -795,12 +833,13 @@ def test_sleep_sets_reach_every_budget_cut_end_state():
 
 def test_generator_bodies_explore_like_compiled_ones(monkeypatch):
     # Scenario threads resume from their snapshots; run as host generators
-    # over the same code, they are re-driven on every backtrack instead.  The
-    # two paths must find the same traces and reports.
+    # over the same code, they are re-driven whenever a backtrack resumes
+    # one from an earlier point instead.  The two paths must find the same
+    # traces and reports.
     redrives = []
-    redrive = engine._Search._redrive
-    monkeypatch.setattr(engine._Search, "_redrive",
-                        lambda search: redrives.append(1) or redrive(search))
+    redrive = runtime.HostBody._redrive
+    monkeypatch.setattr(runtime.HostBody, "_redrive",
+                        lambda body, state: redrives.append(1) or redrive(body, state))
     for name, path in list_scenarios():
         compiled = instantiate(parse_scenario(path.read_text()))
         hosted = Program(compiled.threads, compiled.declarations)
@@ -815,10 +854,10 @@ def test_generator_bodies_explore_like_compiled_ones(monkeypatch):
 
 
 def test_scenario_threads_are_never_redriven(monkeypatch):
-    def refuse(search):
+    def refuse(body, state):
         raise AssertionError("a scenario thread was re-driven")
 
-    monkeypatch.setattr(engine._Search, "_redrive", refuse)
+    monkeypatch.setattr(runtime.HostBody, "_redrive", refuse)
     for name, path in list_scenarios():
         explore(instantiate(parse_scenario(path.read_text())),
                 ExplorationConfig(max_depth_per_thread=4))
@@ -894,6 +933,8 @@ class _AuditedContext(BuildContext):
 
     def resume(self, tid, body_state, after, result, state):
         body_after, t = super().resume(tid, body_state, after, result, state)
+        if tid in self.host_threads:
+            return body_after, t
         op, fresh_after = self.next_request(tid, body_state, after, result)
         scratch = ModelState(dict(state.objects), state.threads, state.shared_vars,
                              state.spurious_used)

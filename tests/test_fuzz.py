@@ -8,11 +8,11 @@ scenario's threads share, so most scenarios have more than one schedule
 (74 of the 100 examples explore more than one trace).  Threads keep a local
 that reads and writes go through, branch on it, and loop with `repeat` and
 with `while` over a local counter, each at most twice, so every scenario
-terminates.  Each program is also explored with
-its threads run as host generators, which the search re-drives on every
-backtrack instead of resuming them from the snapshots: both runs must give
-equal reports and traces.  The examples are derandomized, so the suite runs
-the same cases every time.
+terminates.  Each program is also explored with its threads run as host
+generators, which are re-driven through their histories whenever the search
+resumes one from an earlier point, instead of resuming from an interpreter
+state: both runs must give equal reports and traces.  The examples are
+derandomized, so the suite runs the same cases every time.
 """
 
 from hypothesis import HealthCheck, given, settings

@@ -2,7 +2,7 @@
 
 from permute.core import RUNNABLE, fingerprint
 from permute.engine import ExplorationConfig, explore
-from permute.runtime import BuildContext, ReplayCursor, RuntimeSession, execute_step, initial_state
+from permute.runtime import BuildContext, ReplayCursor, execute_step, initial_state
 from permute.scenario import instantiate, parse_scenario
 
 from oracle import reachable_states
@@ -49,8 +49,7 @@ def test_semaphore_conservation():
     cfg = ExplorationConfig(policy_overrides={"sem": "fifo"})
     prog = program(text)
     ctx = BuildContext(prog, cfg.policy_overrides, 0)
-    session = RuntimeSession(prog, ctx)
-    state = initial_state(prog, session, ctx)
+    state = initial_state(ctx)
     counts = {}  # oid -> posts - waits
 
     def check(state):
@@ -69,7 +68,7 @@ def test_semaphore_conservation():
             counts[pending.oid] = counts.get(pending.oid, 0) + 1
         elif pending.kind in ("sem_finish", "sem_wait"):
             counts[pending.oid] = counts.get(pending.oid, 0) - 1
-        state = execute_step(session, state, enabled[0], ctx).state
+        state = execute_step(state, enabled[0], ctx).state
         check(state)
 
 

@@ -13,7 +13,6 @@ from permute.runtime import (
     Program,
     ProgramError,
     ReplayCursor,
-    RuntimeSession,
     execute_step,
     initial_state,
     ops,
@@ -40,8 +39,7 @@ def bootstrap(program, **cfg):
     config = ExplorationConfig(**cfg)
     ctx = BuildContext(program, config.policy_overrides,
                        config.max_spurious_wakeups)
-    session = RuntimeSession(program, ctx)
-    return session, initial_state(program, session, ctx), ctx
+    return initial_state(ctx), ctx
 
 
 def test_first_step_surfaces_first_visible_operation():
@@ -49,9 +47,9 @@ def test_first_step_surfaces_first_visible_operation():
         yield ops.lock("m")
         yield ops.unlock("m")
 
-    session, state, ctx = bootstrap(program_of(body))
+    state, ctx = bootstrap(program_of(body))
     assert state.threads[0].pending.kind == "create"
-    out = execute_step(session, state, 0, ctx)
+    out = execute_step(state, 0, ctx)
     assert out.state.threads[1].pending.kind == "lock"
     assert out.state.threads[1].pending.object_name == "m"
 
@@ -61,10 +59,10 @@ def test_body_end_becomes_exit_transition():
         return
         yield  # pragma: no cover
 
-    session, state, ctx = bootstrap(program_of(body))
-    out = execute_step(session, state, 0, ctx)
+    state, ctx = bootstrap(program_of(body))
+    out = execute_step(state, 0, ctx)
     assert out.state.threads[1].pending.kind == "exit"
-    out2 = execute_step(session, out.state, 1, ctx)
+    out2 = execute_step(out.state, 1, ctx)
     assert out2.state.threads[1].status == EXITED
 
 
@@ -75,10 +73,10 @@ def test_read_result_drives_control_flow():
             yield ops.sem_post("s")
 
     decls = [ObjectDecl("x", "var", {"init": 0}), ObjectDecl("s", "sem", {"init": 0})]
-    session, state, ctx = bootstrap(program_of(body, declarations=decls))
-    state = execute_step(session, state, 0, ctx).state   # create
-    state = execute_step(session, state, 1, ctx).state   # read returns 0
-    assert state.threads[1].pending.kind == "exit"       # no post
+    state, ctx = bootstrap(program_of(body, declarations=decls))
+    state = execute_step(state, 0, ctx).state   # create
+    state = execute_step(state, 1, ctx).state   # read returns 0
+    assert state.threads[1].pending.kind == "exit"   # no post
 
 
 def test_objects_created_once_with_stable_ids():
@@ -88,12 +86,12 @@ def test_objects_created_once_with_stable_ids():
         yield ops.lock("m")
         yield ops.unlock("m")
 
-    session, state, ctx = bootstrap(program_of(body))
-    state = execute_step(session, state, 0, ctx).state
+    state, ctx = bootstrap(program_of(body))
+    state = execute_step(state, 0, ctx).state
     oid = state.threads[1].pending.oid
     assert state.objects[oid].kind == "mutex"
     for _ in range(3):
-        state = execute_step(session, state, 1, ctx).state
+        state = execute_step(state, 1, ctx).state
         assert state.threads[1].pending.oid == oid
     assert len(state.objects) == 1
 
@@ -104,17 +102,17 @@ def test_wait_requests_expand_per_policy():
 
     decls = [ObjectDecl("s", "sem", {"init": 1})]
     # fifo: split into enqueue + finish
-    session, state, ctx = bootstrap(program_of(body, declarations=decls),
-                                    policy_overrides={"sem": "fifo"})
-    state = execute_step(session, state, 0, ctx).state
+    state, ctx = bootstrap(program_of(body, declarations=decls),
+                           policy_overrides={"sem": "fifo"})
+    state = execute_step(state, 0, ctx).state
     assert state.threads[1].pending.kind == "sem_enqueue"
-    state = execute_step(session, state, 1, ctx).state
+    state = execute_step(state, 1, ctx).state
     assert state.threads[1].pending.kind == "sem_finish"
 
     # fused: one atomic wait
-    session, state, ctx = bootstrap(program_of(body, declarations=decls),
-                                    policy_overrides={"sem": "arb_fused"})
-    state = execute_step(session, state, 0, ctx).state
+    state, ctx = bootstrap(program_of(body, declarations=decls),
+                           policy_overrides={"sem": "arb_fused"})
+    state = execute_step(state, 0, ctx).state
     assert state.threads[1].pending.kind == "sem_wait"
 
 
@@ -124,16 +122,16 @@ def test_unknown_kind_and_undeclared_variable_are_program_errors():
     def body():
         yield OpRequest("frobnicate", "z", "mutex")
 
-    session, state, ctx = bootstrap(program_of(body))
+    state, ctx = bootstrap(program_of(body))
     with pytest.raises(ProgramError):
-        execute_step(session, state, 0, ctx)
+        execute_step(state, 0, ctx)
 
     def reader():
         yield ops.read("nosuch")
 
-    session, state, ctx = bootstrap(program_of(reader))
+    state, ctx = bootstrap(program_of(reader))
     with pytest.raises(ProgramError):
-        execute_step(session, state, 0, ctx)
+        execute_step(state, 0, ctx)
 
 
 def test_crashing_body_is_a_finding_not_an_abort():
@@ -169,8 +167,8 @@ def test_replay_detects_nondeterministic_bodies():
 
     decls = [ObjectDecl("s", "sem", {}), ObjectDecl("t", "sem", {})]
     prog = program_of(flaky, declarations=decls)
-    session, state, ctx = bootstrap(prog)
-    state = execute_step(session, state, 0, ctx).state
+    state, ctx = bootstrap(prog)
+    state = execute_step(state, 0, ctx).state
     recorded = [schedule_step(state.threads[1].pending)]
 
     diverged = False
@@ -209,26 +207,38 @@ def test_split_wait_halves_are_built_once_per_request():
     text = "mutex m\ncond c\nthread t { repeat 2 { lock m; cond_wait c m; unlock m; } }"
     decls = [ObjectDecl("m", "mutex", {}), ObjectDecl("c", "cond", {})]
     for prog in (instantiate(parse_scenario(text)), program_of(waiter, declarations=decls)):
-        session, state, ctx = bootstrap(prog, max_spurious_wakeups=2)
-        state = execute_step(session, state, 0, ctx).state   # create
+        state, ctx = bootstrap(prog, max_spurious_wakeups=2)
+        state = execute_step(state, 0, ctx).state   # create
         surfaced = {}
         while state.threads[1].pending.kind != "exit":
             request = state.threads[1].pending.request
             surfaced.setdefault(request.kind, []).append(request)
-            state = execute_step(session, state, 1, ctx).state
+            state = execute_step(state, 1, ctx).state
         for kind in ("cond_enqueue", "cond_wake"):
             first, second = surfaced[kind]
             assert first is second, kind
 
 
-def test_spawning_twice_is_rejected():
-    def body():
-        yield ops.sem_post("s")
+class _CreatesTwice:
+    """Compiled code of a main that creates thread t1 twice; its state is
+    the number of creates it surfaced."""
 
-    prog = program_of(body, declarations=[ObjectDecl("s", "sem", {})])
-    ctx = BuildContext(prog)
-    session = RuntimeSession(prog, ctx)
-    session.resume(0)
-    session.resume(1)
-    with pytest.raises(ProgramError):
-        session.resume(1)
+    def start(self):
+        return ops.create("t1"), 1
+
+    def resume(self, state, result):
+        return (ops.create("t1") if state < 2 else None), state + 1
+
+
+def test_spawning_twice_is_rejected():
+    # The second create of t1 is an error whether main is a host generator
+    # or compiled code.
+    def main():
+        yield ops.create("t1")
+        yield ops.create("t1")
+
+    t1 = instantiate(parse_scenario("sem s = 0\nthread t1 { sem_post s; }"))
+    threads = [("main", main), t1.threads[1]]
+    for codes in ((), [_CreatesTwice(), t1.codes[1]]):
+        with pytest.raises(ProgramError, match="thread 1 spawned twice"):
+            explore(Program(threads, t1.declarations, codes))

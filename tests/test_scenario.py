@@ -4,7 +4,7 @@ import pytest
 
 from permute.corpus import list_scenarios
 from permute.engine import ExplorationConfig, explore
-from permute.runtime import BuildContext, RuntimeSession, execute_step, initial_state
+from permute.runtime import BuildContext, execute_step, initial_state
 from permute.cli import main
 from permute.scenario import (
     MAX_NESTING,
@@ -182,10 +182,9 @@ def test_straight_line_interpreter_matches_direct_evaluation():
             "}\n")
     prog = instantiate(parse_scenario(text))
     ctx = BuildContext(prog)
-    session = RuntimeSession(prog, ctx)
-    state = initial_state(prog, session, ctx)
+    state = initial_state(ctx)
     while state.enabled_threads():
-        state = execute_step(session, state, state.enabled_threads()[0], ctx).state
+        state = execute_step(state, state.enabled_threads()[0], ctx).state
     # Direct evaluation: a=5; x=5; b=5; y=20; x=100; n iterates to 3; y=3.
     assert state.shared_vars == {"x": 100, "y": 3}
 
