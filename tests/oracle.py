@@ -98,8 +98,12 @@ def state_key(state) -> tuple:
     """What tells two reachable states apart: the fingerprint, and each
     thread's body state (a host thread's history), which the fingerprint
     leaves out but which decides what the thread does next."""
-    return fingerprint(state), tuple(state.threads[tid].body_state
-                                     for tid in sorted(state.threads))
+    bodies = tuple(state.threads[tid].body_state for tid in sorted(state.threads))
+    try:
+        hash(bodies)
+    except TypeError:   # a host history holding an unhashable payload
+        bodies = tuple(map(id, bodies))   # kept alive by `StateGraph.states`
+    return fingerprint(state), bodies
 
 
 def reachable_states(program, config=None, max_states=500_000) -> StateGraph:

@@ -436,7 +436,8 @@ def _mixed_writes(compiled):
 @pytest.mark.parametrize("compiled", [False, True], ids=["host", "compiled"])
 def test_equal_payloads_of_other_types_stay_apart(compiled):
     traces = []
-    explore(_mixed_writes(compiled), observer=traces.append)
+    program = _mixed_writes(compiled)
+    explore(program, observer=traces.append)
     assert [" ".join(f"{step.label}:{step.payload}" for step in tr.schedule if step.tid)
             for tr in traces] == [
         "write:[1] write:True write:1 write:1.0 exit:- read:- exit:-",
@@ -445,6 +446,9 @@ def test_equal_payloads_of_other_types_stay_apart(compiled):
         "write:[1] read:- write:True write:1 write:1.0 exit:- exit:-",
         "read:- write:[1] write:True write:1 write:1.0 exit:- exit:-",
     ]
+    # The state oracle walks these states too, a host history that holds
+    # the unhashable payload included.
+    assert reachable_states(program).final_fps == {tr.fingerprint for tr in traces}
 
 
 _READER = ("var x = 0\nvar y = 0\nmutex m\n"
