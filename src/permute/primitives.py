@@ -12,9 +12,11 @@ co-enabledness claims you understand, give the effect in `apply`, and
 declare the footprint that the search indexes steps by and that names the
 objects `apply` writes (optional: the wildcard default is sound).
 
-Wait-style operations split into an enqueue step and a finish step
-(`WAIT_SPLITS`) so that wakeup policies (who gets to complete the wait) are
-expressible as plain enabled predicates.  Under arbitrary wakeup the queue
+Every operation a body can request is one row of `OPERATIONS`: the kinds of
+object it takes, its scenario statement and, for a wait, how it splits.
+Wait-style operations split into an enqueue step and a finish step so that
+wakeup policies (who gets to complete the wait) are expressible as plain
+enabled predicates.  Under arbitrary wakeup the queue
 order is semantically irrelevant, so those wait sets are kept canonically
 sorted; this makes the declared independence of two enqueues hold
 structurally (both insertion orders produce the same snapshot), which the
@@ -24,7 +26,7 @@ commutation audits rely on.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     EMBRYO,
@@ -58,21 +60,53 @@ WRITER_PREF = "writer_pref"
 NO_PREF = "no_pref"
 PREFERENCES = (READER_PREF, WRITER_PREF, NO_PREF)
 
-# How the runtime surfaces each wait-style request: its enqueue step, then
-# its finish step, one scheduling step each.  A lock or semaphore wait on an
-# object under arb_fused keeps no queue and stays the one fused step; the
-# second table names the object kind whose policy decides that.
-WAIT_SPLITS = {
-    "lock": ("lock_enqueue", "lock"),
-    "sem_wait": ("sem_enqueue", "sem_finish"),
-    "cond_wait": ("cond_enqueue", "cond_wake"),
-    "rdlock": ("rd_enqueue", "rd_lock"),
-    "wrlock": ("wr_enqueue", "wr_lock"),
-    "wrlock1": ("wr1_enqueue", "wr1_lock"),
-    "wrlock2": ("wr2_enqueue", "wr2_lock"),
-    "barrier_wait": ("arrive", "barrier_finish"),
+# Statement forms of the scenario language, as templates: `word` is the
+# operation's word, `obj` the object it takes, `v` a local that receives its
+# result, `expr` the value to write and `mutex` a mutex.
+PLAIN = "word obj"
+VALUE = "v = word obj"
+WRITE = "word obj expr"
+WITH_MUTEX = "word obj mutex"
+
+
+class Operation(NamedTuple):
+    """An operation that a body requests by its word (`OPERATIONS`).
+
+    `object_kinds` are the kinds of object it takes; the first is the kind a
+    host request names unless it names another.  `form` is its scenario
+    statement.  A wait's `split` names the kinds of its enqueue step and of
+    its finish step, which the runtime surfaces one scheduling step each,
+    unless the policy of its `fused_on` object kind is arb_fused: then the
+    wait stays the one step of the word's own kind.
+    """
+
+    object_kinds: tuple
+    form: str = PLAIN
+    split: tuple = ()
+    fused_on: Optional[str] = None
+
+
+# Every operation a body can request on an object, declared once: the
+# scenario language, the host request constructors (`runtime.ops`) and the
+# runtime's splitting of waits all read this table.
+OPERATIONS = {
+    "lock": Operation(("mutex",), split=("lock_enqueue", "lock"), fused_on="mutex"),
+    "unlock": Operation(("mutex",)),
+    "sem_wait": Operation(("sem",), split=("sem_enqueue", "sem_finish"), fused_on="sem"),
+    "sem_post": Operation(("sem",)),
+    "sem_getvalue": Operation(("sem",), VALUE),
+    "cond_wait": Operation(("cond",), WITH_MUTEX, ("cond_enqueue", "cond_wake")),
+    "cond_signal": Operation(("cond",)),
+    "cond_broadcast": Operation(("cond",)),
+    "rdlock": Operation(("rwlock", "rwwlock"), split=("rd_enqueue", "rd_lock")),
+    "wrlock": Operation(("rwlock",), split=("wr_enqueue", "wr_lock")),
+    "wrlock1": Operation(("rwwlock",), split=("wr1_enqueue", "wr1_lock")),
+    "wrlock2": Operation(("rwwlock",), split=("wr2_enqueue", "wr2_lock")),
+    "rwunlock": Operation(("rwlock", "rwwlock")),
+    "barrier_wait": Operation(("barrier",), split=("arrive", "barrier_finish")),
+    "read": Operation(("var",), VALUE),
+    "write": Operation(("var",), WRITE),
 }
-FUSED_WAITS = {"lock": "mutex", "sem_wait": "sem"}
 
 
 def _enqueue(queue: list, item, policy: str) -> None:

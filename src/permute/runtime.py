@@ -23,9 +23,10 @@ forms:
 
 `BuildContext.next_request` runs one step of either form.  Wait-style
 requests (`sem_wait`, `cond_wait`, `lock` under a queued policy, read/write
-lock acquisition, `barrier_wait`) are split there into their enqueue and
-finish halves, by `primitives.WAIT_SPLITS`: the body yields one high-level
-request and the context surfaces the parts one scheduling step at a time.
+lock acquisition, `barrier_wait`) are split there into the enqueue and
+finish halves that their rows of `primitives.OPERATIONS` name: the body
+yields one high-level request and the context surfaces the parts one
+scheduling step at a time.
 Each surfaced request becomes a transition through the class registered for
 its kind (`core.register`), whose `build` names the objects it needs from
 the `BuildContext`.
@@ -91,37 +92,45 @@ class OpRequest:
     text: str = ""
 
 
-def _request(kind: str, object_kind: str):
-    """Constructor of `kind` requests on one object, of `object_kind` unless
-    the caller names another."""
-    return staticmethod(lambda name, object_kind=object_kind: OpRequest(kind, name, object_kind))
+def _default_kind(kind: str) -> str:
+    """The object kind a request of operation `kind` names by default."""
+    return prim.OPERATIONS[kind].object_kinds[0]
+
+
+def _request(kind: str):
+    """Constructor of `kind` requests on one object, of its default kind
+    unless the caller names another."""
+    return staticmethod(lambda name, object_kind=_default_kind(kind):
+                        OpRequest(kind, name, object_kind))
 
 
 class ops:
-    """Request constructors for host-language bodies (and the interpreter)."""
+    """Request constructors for host-language bodies (and the interpreter),
+    one per row of `primitives.OPERATIONS` plus assertions and the thread
+    lifecycle."""
 
-    lock = _request("lock", "mutex")
-    unlock = _request("unlock", "mutex")
-    sem_wait = _request("sem_wait", "sem")
-    sem_post = _request("sem_post", "sem")
-    sem_getvalue = _request("sem_getvalue", "sem")
-    cond_signal = _request("cond_signal", "cond")
-    cond_broadcast = _request("cond_broadcast", "cond")
-    rdlock = _request("rdlock", "rwlock")
-    wrlock = _request("wrlock", "rwlock")
-    wrlock1 = _request("wrlock1", "rwwlock")
-    wrlock2 = _request("wrlock2", "rwwlock")
-    rwunlock = _request("rwunlock", "rwlock")
-    barrier_wait = _request("barrier_wait", "barrier")
-    read = _request("read", "var")
+    lock = _request("lock")
+    unlock = _request("unlock")
+    sem_wait = _request("sem_wait")
+    sem_post = _request("sem_post")
+    sem_getvalue = _request("sem_getvalue")
+    cond_signal = _request("cond_signal")
+    cond_broadcast = _request("cond_broadcast")
+    rdlock = _request("rdlock")
+    wrlock = _request("wrlock")
+    wrlock1 = _request("wrlock1")
+    wrlock2 = _request("wrlock2")
+    rwunlock = _request("rwunlock")
+    barrier_wait = _request("barrier_wait")
+    read = _request("read")
 
     @staticmethod
     def cond_wait(cond, mutex):
-        return OpRequest("cond_wait", cond, "cond", mutex_name=mutex)
+        return OpRequest("cond_wait", cond, _default_kind("cond_wait"), mutex_name=mutex)
 
     @staticmethod
     def write(name, value):
-        return OpRequest("write", name, "var", payload=(value,))
+        return OpRequest("write", name, _default_kind("write"), payload=(value,))
 
     @staticmethod
     def assert_check(predicate, message, var_refs=(), text=""):
@@ -403,15 +412,15 @@ class BuildContext:
     def _surfaced(self, req: Optional[OpRequest]) -> Optional[OpRequest]:
         """The enqueue half of a wait request that this context's policy
         splits, otherwise the request itself."""
-        if req is None or req.kind not in prim.WAIT_SPLITS:
+        op = prim.OPERATIONS.get(req.kind) if req is not None else None
+        if op is None or not op.split:
             return req
         first = self._first_half.get(req)
         if first is None:
             first = req
-            fused_kind = prim.FUSED_WAITS.get(req.kind)
-            if (fused_kind is None
-                    or self.policy_for(fused_kind, req.object_name) != prim.ARB_FUSED):
-                first = replace(req, kind=prim.WAIT_SPLITS[req.kind][0])
+            if (op.fused_on is None
+                    or self.policy_for(op.fused_on, req.object_name) != prim.ARB_FUSED):
+                first = replace(req, kind=op.split[0])
             self._first_half[req] = first
         return first
 
@@ -426,7 +435,8 @@ class BuildContext:
         return finish
 
 
-_FINISH_KINDS = dict(prim.WAIT_SPLITS.values())   # enqueue half kind -> finish half kind
+# enqueue half kind -> finish half kind
+_FINISH_KINDS = dict(op.split for op in prim.OPERATIONS.values() if op.split)
 
 
 def _step_key(tid: ThreadId, body_state, after: Optional[Transition], result):

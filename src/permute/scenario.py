@@ -31,11 +31,11 @@ Grammar sketch::
                | "if" "(" expr ")" block ["else" block]
                | "while" "(" expr ")" block
                | "repeat" INT block
-    opStmt    := "lock"|"unlock"|"sem_wait"|"sem_post" NAME
-               | NAME "=" "sem_getvalue" NAME | "cond_wait" NAME NAME
-               | "cond_signal"|"cond_broadcast" NAME
-               | "rdlock"|"wrlock"|"wrlock1"|"wrlock2"|"rwunlock" NAME
-               | "barrier_wait" NAME | NAME "=" "read" NAME | "write" NAME expr
+    opStmt    := WORD NAME | NAME "=" WORD NAME | WORD NAME expr | WORD NAME NAME
+
+Each operation word takes the one `opStmt` form, on an object of a kind,
+that its row of `primitives.OPERATIONS` names: `lock m;`, `v = read x;`,
+`write x v + 1;`, `cond_wait c m;`.
 
 `#` starts a comment.  Integers are the only value type; conditions treat
 nonzero as true.  Blocks, parentheses and operators may nest at most
@@ -48,7 +48,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .runtime import ObjectDecl, Program, ops
+from .primitives import OPERATIONS, POLICIES, PREFERENCES, VALUE, WITH_MUTEX, WRITE
+from .runtime import ObjectDecl, OpRequest, Program, ops
 
 
 class ScenarioError(Exception):
@@ -93,32 +94,20 @@ class Binary:
 
 @dataclass
 class OpStmt:
+    """A statement of an operation of `OPERATIONS`, in its form: `mutex` is
+    set for `word obj mutex`, `expr` for `word obj expr` and `target` for
+    `v = word obj`."""
+
     kind: str
     obj: str
     mutex: Optional[str] = None
+    expr: object = None
+    target: Optional[str] = None
 
 
 @dataclass
 class Assign:
     target: str
-    expr: object
-
-
-@dataclass
-class ReadInto:
-    target: str
-    var: str
-
-
-@dataclass
-class GetValueInto:
-    target: str
-    sem: str
-
-
-@dataclass
-class WriteVar:
-    var: str
     expr: object
 
 
@@ -173,14 +162,8 @@ class ScenarioProgram:
 
 KEYWORDS = {
     "mutex", "sem", "cond", "rwlock", "rwwlock", "barrier", "var", "thread",
-    "option", "assert", "if", "else", "while", "repeat", "lock", "unlock",
-    "sem_wait", "sem_post", "sem_getvalue", "cond_wait", "cond_signal",
-    "cond_broadcast", "rdlock", "wrlock", "wrlock1", "wrlock2", "rwunlock",
-    "barrier_wait", "read", "write",
+    "option", "assert", "if", "else", "while", "repeat", *OPERATIONS,
 }
-
-POLICY_WORDS = ("fifo", "lifo", "arb_indep", "arb_dep", "arb_fused")
-PREF_WORDS = ("reader_pref", "writer_pref", "no_pref")
 
 _PUNCT = ("&&", "||", "==", "!=", "<=", ">=",
           "{", "}", "(", ")", ";", ",", "=", "<", ">", "+", "-", "*", "!")
@@ -252,21 +235,6 @@ def tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-_OP_OBJECT_KINDS = {
-    "lock": ("mutex",), "unlock": ("mutex",),
-    "sem_wait": ("sem",), "sem_post": ("sem",), "sem_getvalue": ("sem",),
-    "cond_wait": ("cond",), "cond_signal": ("cond",), "cond_broadcast": ("cond",),
-    "rdlock": ("rwlock", "rwwlock"), "wrlock": ("rwlock",),
-    "wrlock1": ("rwwlock",), "wrlock2": ("rwwlock",),
-    "rwunlock": ("rwlock", "rwwlock"), "barrier_wait": ("barrier",),
-    "read": ("var",), "write": ("var",),
-}
-
-_SIMPLE_OPS = ("lock", "unlock", "sem_wait", "sem_post", "cond_signal",
-               "cond_broadcast", "rdlock", "wrlock", "wrlock1", "wrlock2",
-               "rwunlock", "barrier_wait")
-
 
 # Parsing, validating, printing and compiling all recurse on nesting, so a
 # scenario's blocks, parentheses and operators may nest this deep at most.
@@ -376,8 +344,8 @@ class _Parser:
                 attrs["spurious"] = self.integer()
         elif kind == "rwlock":
             tok = self.expect("NAME")
-            if tok.value not in PREF_WORDS:
-                self.error(f"expected a preference {PREF_WORDS}, found {tok.value!r}", tok)
+            if tok.value not in PREFERENCES:
+                self.error(f"expected a preference {PREFERENCES}, found {tok.value!r}", tok)
             attrs["preference"] = tok.value
         elif kind == "barrier":
             self.expect("(")
@@ -391,8 +359,8 @@ class _Parser:
     def _policy_attr(self, attrs: dict) -> None:
         if self.eat_word("policy"):
             tok = self.expect("NAME")
-            if tok.value not in POLICY_WORDS:
-                self.error(f"expected a policy {POLICY_WORDS}, found {tok.value!r}", tok)
+            if tok.value not in POLICIES:
+                self.error(f"expected a policy {POLICIES}, found {tok.value!r}", tok)
             attrs["policy"] = tok.value
 
     def thread_def(self) -> ThreadDef:
@@ -454,41 +422,30 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return AssertStmt(cond, message)
-        if word in _SIMPLE_OPS:
-            self.next()
-            obj = self.ident("object name")
-            self.expect(";")
-            return OpStmt(word, obj)
-        if word == "cond_wait":
-            self.next()
-            cond = self.ident("object name")
-            mutex = self.ident("object name")
-            self.expect(";")
-            return OpStmt(word, cond, mutex)
-        if word == "write":
-            self.next()
-            var = self.ident("variable name")
-            value = self.expr()
-            self.expect(";")
-            return WriteVar(var, value)
+        if word in OPERATIONS and OPERATIONS[word].form != VALUE:
+            return self.operation()
         if word in KEYWORDS:
             self.error(f"unexpected keyword {word!r}")
         # NAME "=" ...
         target = self.ident()
         self.expect("=")
-        if self.at_word("read"):
-            self.next()
-            var = self.ident("variable name")
-            self.expect(";")
-            return ReadInto(target, var)
-        if self.at_word("sem_getvalue"):
-            self.next()
-            sem = self.ident("object name")
-            self.expect(";")
-            return GetValueInto(target, sem)
+        tok = self.peek()
+        if tok.type == "NAME" and tok.value in OPERATIONS and OPERATIONS[tok.value].form == VALUE:
+            return self.operation(target)
         expr = self.expr()
         self.expect(";")
         return Assign(target, expr)
+
+    def operation(self, target: Optional[str] = None) -> OpStmt:
+        """The statement of the operation whose word is next, in its form;
+        `target` is the local a `v = word obj` form assigns."""
+        word = self.next().value
+        op = OPERATIONS[word]
+        obj = self.ident("variable name" if op.object_kinds == ("var",) else "object name")
+        mutex = self.ident("object name") if op.form == WITH_MUTEX else None
+        expr = self.expr() if op.form == WRITE else None
+        self.expect(";")
+        return OpStmt(word, obj, mutex, expr, target)
 
     # -- expressions -------------------------------------------------------
 
@@ -638,18 +595,14 @@ def _check_locals(expr, assigned, context):
 def _validate_block(stmts, kinds, assigned, tname) -> None:
     for st in stmts:
         if isinstance(st, OpStmt):
-            _require(kinds, st.obj, _OP_OBJECT_KINDS[st.kind], f"{st.kind} in thread {tname}")
-            if st.kind == "cond_wait":
-                _require(kinds, st.mutex, ("mutex",), f"cond_wait in thread {tname}")
-        elif isinstance(st, ReadInto):
-            _require(kinds, st.var, ("var",), f"read in thread {tname}")
-            assigned.add(st.target)
-        elif isinstance(st, GetValueInto):
-            _require(kinds, st.sem, ("sem",), f"sem_getvalue in thread {tname}")
-            assigned.add(st.target)
-        elif isinstance(st, WriteVar):
-            _require(kinds, st.var, ("var",), f"write in thread {tname}")
-            _check_locals(st.expr, assigned, f"write in thread {tname}")
+            context = f"{st.kind} in thread {tname}"
+            _require(kinds, st.obj, OPERATIONS[st.kind].object_kinds, context)
+            if st.mutex is not None:
+                _require(kinds, st.mutex, ("mutex",), context)
+            if st.expr is not None:
+                _check_locals(st.expr, assigned, context)
+            if st.target is not None:
+                assigned.add(st.target)
         elif isinstance(st, Assign):
             _check_locals(st.expr, assigned, f"assignment in thread {tname}")
             assigned.add(st.target)
@@ -700,18 +653,16 @@ def print_expr(expr, parent_prec: int = 0) -> str:
 def _print_stmt(st, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(st, OpStmt):
-        if st.kind == "cond_wait":
-            out.append(f"{pad}cond_wait {st.obj} {st.mutex};")
-        else:
-            out.append(f"{pad}{st.kind} {st.obj};")
+        text = f"{st.kind} {st.obj}"
+        if st.mutex is not None:
+            text += f" {st.mutex}"
+        if st.expr is not None:
+            text += f" {print_expr(st.expr)}"
+        if st.target is not None:
+            text = f"{st.target} = {text}"
+        out.append(f"{pad}{text};")
     elif isinstance(st, Assign):
         out.append(f"{pad}{st.target} = {print_expr(st.expr)};")
-    elif isinstance(st, ReadInto):
-        out.append(f"{pad}{st.target} = read {st.var};")
-    elif isinstance(st, GetValueInto):
-        out.append(f"{pad}{st.target} = sem_getvalue {st.sem};")
-    elif isinstance(st, WriteVar):
-        out.append(f"{pad}write {st.var} {print_expr(st.expr)};")
     elif isinstance(st, AssertStmt):
         if st.message is None:
             out.append(f"{pad}assert({print_expr(st.expr)});")
@@ -943,14 +894,13 @@ class _Compiler:
             self.stmt(st)
 
     def stmt(self, st) -> None:
-        if isinstance(st, (OpStmt, AssertStmt)):
-            self.emit(_YIELD, self.request(st))
-        elif isinstance(st, ReadInto):
-            self.emit(_YIELD, ops.read(st.var), self.slot(st.target))
-        elif isinstance(st, GetValueInto):
-            self.emit(_YIELD, ops.sem_getvalue(st.sem), self.slot(st.target))
-        elif isinstance(st, WriteVar):
-            self.emit(_WRITE, st.var, _compile_expr(st.expr, self.slot))
+        if isinstance(st, OpStmt) and st.expr is not None:   # a write of a local value
+            self.emit(_WRITE, st.obj, _compile_expr(st.expr, self.slot))
+        elif isinstance(st, OpStmt):
+            request = OpRequest(st.kind, st.obj, self.kind_of[st.obj], mutex_name=st.mutex)
+            self.emit(_YIELD, request, 0 if st.target is None else self.slot(st.target))
+        elif isinstance(st, AssertStmt):
+            self.emit(_YIELD, self.assertion(st))
         elif isinstance(st, Assign):
             self.emit(_SET, self.slot(st.target), _compile_expr(st.expr, self.slot))
         elif isinstance(st, IfStmt):
@@ -977,18 +927,12 @@ class _Compiler:
             self.emit(_JUMP, top)
             self.land(top)
 
-    def request(self, st):
-        if isinstance(st, AssertStmt):
-            holds = _compile_expr(st.expr, lambda name: name)
-            text = print_expr(st.expr)
-            message = st.message if st.message is not None else f"assert({text})"
-            return ops.assert_check(lambda shared: holds(shared) != 0, message,
-                                    var_refs=_refs_of(st.expr), text=text)
-        if st.kind == "cond_wait":
-            return ops.cond_wait(st.obj, st.mutex)
-        if st.kind in ("rdlock", "rwunlock"):
-            return getattr(ops, st.kind)(st.obj, object_kind=self.kind_of[st.obj])
-        return getattr(ops, st.kind)(st.obj)
+    def assertion(self, st: AssertStmt) -> OpRequest:
+        holds = _compile_expr(st.expr, lambda name: name)
+        text = print_expr(st.expr)
+        message = st.message if st.message is not None else f"assert({text})"
+        return ops.assert_check(lambda shared: holds(shared) != 0, message,
+                                var_refs=_refs_of(st.expr), text=text)
 
 
 def _refs_of(expr) -> tuple:
