@@ -24,7 +24,7 @@ from . import __version__
 from .core import fingerprint
 from .corpus import list_scenarios
 from .engine import ExplorationConfig, ExplorationReport, TraceResult, explore
-from .primitives import POLICIES
+from .primitives import DEFAULT_POLICY, POLICIES
 from .runtime import BuildContext, NondeterminismDetected, ReplayCursor, ScheduleStep
 from .scenario import ScenarioError, instantiate, parse_scenario
 
@@ -367,9 +367,7 @@ def _default_trace_dir(flag: Optional[str]) -> Path:
 
 
 def _config_from_args(args) -> ExplorationConfig:
-    overrides = {}
-    if args.policy:
-        overrides = {"mutex": args.policy, "sem": args.policy, "cond": args.policy}
+    overrides = dict.fromkeys(DEFAULT_POLICY, args.policy) if args.policy else {}
     return ExplorationConfig(
         max_depth_per_thread=args.max_thread_depth,
         stop_at_first_deadlock=args.first_deadlock,

@@ -60,9 +60,11 @@ WRITER_PREF = "writer_pref"
 NO_PREF = "no_pref"
 PREFERENCES = (READER_PREF, WRITER_PREF, NO_PREF)
 
-# Statement forms of the scenario language, as templates: `word` is the
-# operation's word, `obj` the object it takes, `v` a local that receives its
-# result, `expr` the value to write and `mutex` a mutex.
+# The object kinds that take a wakeup policy, each with its default one.
+DEFAULT_POLICY = {"mutex": ARB_FUSED, "sem": ARB_FUSED, "cond": ARB_INDEP}
+
+# Statement forms of the scenario language: `v` is the local that receives
+# the result, `expr` the value written.
 PLAIN = "word obj"
 VALUE = "v = word obj"
 WRITE = "word obj expr"
@@ -70,15 +72,10 @@ WITH_MUTEX = "word obj mutex"
 
 
 class Operation(NamedTuple):
-    """An operation that a body requests by its word (`OPERATIONS`).
-
-    `object_kinds` are the kinds of object it takes; the first is the kind a
-    host request names unless it names another.  `form` is its scenario
-    statement.  A wait's `split` names the kinds of its enqueue step and of
-    its finish step, which the runtime surfaces one scheduling step each,
-    unless the policy of its `fused_on` object kind is arb_fused: then the
-    wait stays the one step of the word's own kind.
-    """
+    """An operation a body requests by its word: the kinds of object it
+    takes (a host request's default first) and its statement `form`.  A
+    wait's `split` names its enqueue and finish kinds, surfaced a step each
+    unless its `fused_on` object kind's policy is arb_fused."""
 
     object_kinds: tuple
     form: str = PLAIN
@@ -86,9 +83,8 @@ class Operation(NamedTuple):
     fused_on: Optional[str] = None
 
 
-# Every operation a body can request on an object, declared once: the
-# scenario language, the host request constructors (`runtime.ops`) and the
-# runtime's splitting of waits all read this table.
+# Every operation on an object, declared once: the scenario language, the
+# host requests (`runtime.ops`) and the runtime's wait splits read it.
 OPERATIONS = {
     "lock": Operation(("mutex",), split=("lock_enqueue", "lock"), fused_on="mutex"),
     "unlock": Operation(("mutex",)),

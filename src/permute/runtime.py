@@ -92,8 +92,7 @@ class OpRequest:
     text: str = ""
 
 
-def _default_kind(kind: str) -> str:
-    """The object kind a request of operation `kind` names by default."""
+def _default_kind(kind: str) -> str:   # of the object a `kind` request names
     return prim.OPERATIONS[kind].object_kinds[0]
 
 
@@ -105,9 +104,8 @@ def _request(kind: str):
 
 
 class ops:
-    """Request constructors for host-language bodies (and the interpreter),
-    one per row of `primitives.OPERATIONS` plus assertions and the thread
-    lifecycle."""
+    """Request constructors for host-language bodies (and the interpreter):
+    one per row of `primitives.OPERATIONS`, assertions and thread lifecycle."""
 
     lock = _request("lock")
     unlock = _request("unlock")
@@ -228,9 +226,6 @@ class ObjectRegistry:
         return oid
 
 
-_DEFAULT_POLICY = {"mutex": prim.ARB_FUSED, "sem": prim.ARB_FUSED, "cond": prim.ARB_INDEP}
-
-
 class BuildContext:
     """Everything transition building needs: the program, object identity,
     and the resolved policy/spurious configuration.
@@ -303,7 +298,7 @@ class BuildContext:
         if policy is None:
             policy = self.policy_overrides.get(kind)
         if policy is None:
-            policy = _DEFAULT_POLICY.get(kind, prim.ARB_FUSED)
+            policy = prim.DEFAULT_POLICY.get(kind, prim.ARB_FUSED)
         if kind == "cond" and policy == prim.ARB_FUSED:
             # A condition wait is inherently two steps; fused degrades to
             # the arbitrary policy with an independent enqueue.
@@ -528,7 +523,18 @@ def _same_request(request, recorded: Optional[OpRequest]) -> bool:
     return request is recorded or (
         isinstance(request, OpRequest) and recorded is not None
         and replace(request, predicate=recorded.predicate) == recorded
-        and exact_key(request.payload) == exact_key(recorded.payload))
+        and _typed(request.payload) == _typed(recorded.payload))
+
+
+def _typed(value):
+    """`value` with the type of each value in it, at any depth, also inside
+    lists, sets and dicts (a dict's items in order)."""
+    kind = type(value)
+    if kind is set or kind is frozenset:
+        return kind, frozenset(map(_typed, value))
+    if kind is tuple or kind is list or kind is dict:
+        return kind, tuple(map(_typed, value.items() if kind is dict else value))
+    return kind, value
 
 
 # ---------------------------------------------------------------------------

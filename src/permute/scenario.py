@@ -33,13 +33,13 @@ Grammar sketch::
                | "repeat" INT block
     opStmt    := WORD NAME | NAME "=" WORD NAME | WORD NAME expr | WORD NAME NAME
 
-Each operation word takes the one `opStmt` form, on an object of a kind,
-that its row of `primitives.OPERATIONS` names: `lock m;`, `v = read x;`,
-`write x v + 1;`, `cond_wait c m;`.
-
-`#` starts a comment.  Integers are the only value type; conditions treat
-nonzero as true.  Blocks, parentheses and operators may nest at most
-`MAX_NESTING` levels deep.
+Each operation word takes the form and object kinds that its row of
+`primitives.OPERATIONS` names: `lock m;`, `v = read x;`, `write x v + 1;`,
+`cond_wait c m;`.  `#` starts a comment.  Integers, signed 64-bit, are the
+only value type; conditions treat nonzero as true.  A literal above
+`INT_MAX` is an error, and a thread that stores a value out of range ends
+with an "integer overflow" crash.  Blocks, parentheses and operators may
+nest at most `MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ class Binary:
 
 @dataclass
 class OpStmt:
-    """A statement of an operation of `OPERATIONS`, in its form: `mutex` is
-    set for `word obj mutex`, `expr` for `word obj expr` and `target` for
-    `v = word obj`."""
+    """An operation's statement; its form (`OPERATIONS`) sets `mutex`, the
+    written `expr` or the `target` local."""
 
     kind: str
     obj: str
@@ -165,6 +164,9 @@ KEYWORDS = {
     "option", "assert", "if", "else", "while", "repeat", *OPERATIONS,
 }
 
+# The range of scenario integers: signed 64-bit.
+INT_MIN, INT_MAX = -2**63, 2**63 - 1
+
 _PUNCT = ("&&", "||", "==", "!=", "<=", ">=",
           "{", "}", "(", ")", ";", ",", "=", "<", ">", "+", "-", "*", "!")
 
@@ -199,7 +201,10 @@ def tokenize(text: str) -> list:
             start = i
             while i < n and text[i].isdigit():
                 i += 1
-            tokens.append(Token("INT", int(text[start:i]), line, col))
+            digits = text[start:i].lstrip("0") or "0"
+            if len(digits) > len(str(INT_MAX)) or int(digits) > INT_MAX:
+                raise ScenarioError(f"integer literal above {INT_MAX}", line, col)
+            tokens.append(Token("INT", int(digits), line, col))
             col += i - start
             continue
         if c.isalpha() or c == "_":
@@ -278,12 +283,9 @@ class _Parser:
             self.error(f"expected {type_!r}, found {tok.value!r}")
         return self.next()
 
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.type == "NAME" and tok.value == word
-
     def eat_word(self, word: str) -> bool:
-        if self.at_word(word):
+        tok = self.peek()
+        if tok.type == "NAME" and tok.value == word:
             self.next()
             return True
         return False
@@ -740,6 +742,15 @@ MAX_LOCAL_STEPS = 100_000
 
 _UNBOUND = object()   # the value of a local not assigned yet
 
+
+def _stored(value, thread: str):
+    """`value`, which `thread` stores, unless it is an integer out of range."""
+    if type(value) is int and not INT_MIN <= value <= INT_MAX:
+        raise ScenarioRuntimeError(
+            f"integer overflow: thread {thread} computed a value outside the signed "
+            "64-bit range")
+    return value
+
 _BINARY = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
@@ -844,14 +855,14 @@ class ThreadCode:
                 return a, tuple(env)
             if op == _WRITE:
                 env[0] = pc
-                return ops.write(a, b(env)), tuple(env)
+                return ops.write(a, _stored(b(env), self.name)), tuple(env)
             if not budget:
                 raise ScenarioRuntimeError(
                     f"livelock: thread {self.name} ran {MAX_LOCAL_STEPS} local "
                     "steps without a visible operation")
             budget -= 1
             if op == _SET:
-                env[a] = b(env)
+                env[a] = _stored(b(env), self.name)
                 pc += 1
             elif op == _BRANCH:
                 pc = pc + 1 if b(env) else a

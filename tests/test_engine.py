@@ -340,6 +340,23 @@ def test_rebuilt_body_writing_another_value_is_detected():
         explore(program)
 
 
+@pytest.mark.parametrize("first,second", [([1], [True]), ({"k": 1}, {"k": True})],
+                         ids=["list", "dict"])
+def test_rebuilt_body_writing_items_of_another_type_is_detected(first, second):
+    # Equal containers whose items differ in type print apart, so the
+    # re-surfaced write is not the recorded one either.
+    builds = itertools.count()
+
+    def flaky():
+        yield ops.write("x", first if next(builds) == 0 else second)
+        yield from _lock_unlock()
+
+    program = Program([("main", _create_and_join("a", "b")), ("a", flaky),
+                       ("b", _lock_unlock)], [ObjectDecl("x", "var", {"init": 0})])
+    with pytest.raises(NondeterminismDetected, match="thread 1 re-executed to .*write"):
+        explore(program)
+
+
 def test_fresh_assert_closure_per_build_is_not_a_divergence():
     # Each build yields a new predicate object, so the re-surfaced request
     # differs from the recorded one; the step it builds does not.

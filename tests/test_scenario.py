@@ -1,11 +1,16 @@
 """Parsing, printing, validation, and interpretation of scenario files."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from permute.corpus import list_scenarios
 from permute.engine import ExplorationConfig, explore
-from permute.runtime import BuildContext, execute_step, initial_state
+from permute.runtime import BuildContext, execute_step, initial_state, ops
 from permute.cli import main
+from permute.core import TRANSITION_CLASSES
+from permute.primitives import DEFAULT_POLICY, OPERATIONS, WITH_MUTEX, WRITE
 from permute.scenario import (
     MAX_NESTING,
     Assign,
@@ -16,6 +21,7 @@ from permute.scenario import (
     instantiate,
     parse_scenario,
     print_scenario,
+    tokenize,
 )
 
 
@@ -113,6 +119,45 @@ def test_round_trip_on_every_corpus_file():
         tree = parse_scenario(text)
         printed = print_scenario(tree)
         assert parse_scenario(printed) == tree, name
+
+
+_DECLARATION = {"mutex": "mutex o", "sem": "sem o = 1", "cond": "cond o",
+                "rwlock": "rwlock o no_pref", "rwwlock": "rwwlock o", "barrier": "barrier o (1)",
+                "var": "var o = 0"}
+
+
+@pytest.mark.parametrize("word", list(OPERATIONS))
+def test_every_operation_round_trips_and_compiles_to_its_host_request(word):
+    # Each row's statement, on object o of each kind it takes (mutex m and
+    # the value 1 where its form has them), parses, prints and parses back
+    # to the same tree, and compiles to the request `ops` builds for it.
+    op = OPERATIONS[word]
+    fill = {"word": word, "obj": "o", "mutex": "m", "expr": "1"}
+    statement = " ".join(fill.get(part, part) for part in op.form.split())
+    args = {WITH_MUTEX: ("o", "m"), WRITE: ("o", 1)}.get(op.form, ("o",))
+    for kind in op.object_kinds:
+        tree = parse_scenario(f"{_DECLARATION[kind]}\nmutex m\nthread t {{ {statement}; }}")
+        assert parse_scenario(print_scenario(tree)) == tree
+        request, _ = instantiate(tree).codes[1].start()
+        named = {} if kind == op.object_kinds[0] else {"object_kind": kind}
+        assert request == getattr(ops, word)(*args, **named)
+    # Every kind it can surface, the word itself or the halves of a wait,
+    # builds through a registered transition class.
+    surfaced = op.split + ((word,) if op.fused_on or not op.split else ())
+    assert all(kind in TRANSITION_CLASSES for kind in surfaced)
+    for policy in ("fifo", "arb_fused"):
+        ctx = BuildContext(instantiate(tree), dict.fromkeys(DEFAULT_POLICY, policy))
+        state = execute_step(initial_state(ctx), 0, ctx).state
+        assert state.threads[1].pending.request.kind in surfaced
+
+
+def test_readme_scenario_example_uses_every_operation():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario language"):]
+    text = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    parse_scenario(text)
+    words = {tok.value for tok in tokenize(text) if tok.type == "NAME"}
+    assert set(OPERATIONS) <= words
 
 
 def test_printer_preserves_expression_structure():
@@ -214,6 +259,34 @@ def test_spinning_thread_ends_in_one_livelock_crash(tmp_path, capsys):
     crashes = [line for line in capsys.readouterr().out.splitlines() if "crash:" in line]
     assert len(crashes) == 1
     assert "livelock: thread t ran" in crashes[0]
+
+
+@pytest.mark.parametrize("body", [
+    "n = 2; repeat 14 { n = n * n; } write x n;",   # without the bound: a 16,385-bit n
+    "write x 9223372036854775807 + 1;",
+    "n = -9223372036854775807 - 1; n = n - 1;",
+], ids=["assignment", "write", "below"])
+def test_a_stored_integer_outside_64_bits_is_an_overflow_crash(tmp_path, capsys, body):
+    path = tmp_path / "overflow.scn"
+    path.write_text(f"var x = 0\nthread t {{ {body} }}\n"
+                    "thread u { v = read x; assert(x == 0); }\n")
+    assert main(["check", str(path), "--trace-dir", str(tmp_path)]) == 1
+    crashes = [line for line in capsys.readouterr().out.splitlines() if "crash:" in line]
+    assert len(crashes) == 1
+    assert "integer overflow: thread t computed a value outside" in crashes[0]
+
+
+@pytest.mark.parametrize("literal", ["9223372036854775808", "7" * 5000],
+                         ids=["2**63", "5000-digits"])
+def test_an_integer_literal_above_64_bits_is_a_one_line_error(tmp_path, capsys, literal):
+    path = tmp_path / "literal.scn"
+    path.write_text(f"thread t {{ n = {literal}; }}\n")
+    assert main(["check", str(path), "--trace-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "1:16: integer literal above 9223372036854775807" in err
+    prog = parse_scenario("var x = -9223372036854775807\nthread t { n = 9223372036854775807; }")
+    assert prog.threads[0].body[0].expr.value == 2**63 - 1
 
 
 CORPUS_BUDGETS = {
