@@ -16,11 +16,10 @@ Every operation a body can request is one row of `OPERATIONS`: the kinds of
 object it takes, its scenario statement and, for a wait, how it splits.
 Wait-style operations split into an enqueue step and a finish step so that
 wakeup policies (who gets to complete the wait) are expressible as plain
-enabled predicates.  Under arbitrary wakeup the queue
-order is semantically irrelevant, so those wait sets are kept canonically
-sorted; this makes the declared independence of two enqueues hold
-structurally (both insertion orders produce the same snapshot), which the
-commutation audits rely on.
+enabled predicates.  Under arbitrary wakeup the queue order is semantically
+irrelevant, so those wait sets are kept canonically sorted; this makes the
+declared independence of two enqueues hold structurally (both insertion
+orders produce the same snapshot), which the commutation audits rely on.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ class OpRequest:
     text: str = ""
 
 
-def _default_kind(kind: str) -> str:   # of the object a `kind` request names
+def _default_kind(kind: str) -> str:   # the object kind a `kind` request names by default
     return prim.OPERATIONS[kind].object_kinds[0]
 
 
