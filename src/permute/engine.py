@@ -94,7 +94,7 @@ from .core import (
     exact_key,
     fingerprint,
 )
-from .primitives import POLICIES
+from .primitives import DEFAULT_POLICY, POLICIES
 from .runtime import BuildContext, Program, execute_step, initial_state, schedule_step
 
 # Trace verdicts.
@@ -140,6 +140,10 @@ class ExplorationConfig:
                 for kind, policy in overrides.items()):
             raise TypeError("policy_overrides must map object kinds to policies "
                             f"{POLICIES}, not {overrides!r}")
+        unknown = [kind for kind in overrides if kind not in DEFAULT_POLICY]
+        if unknown:
+            raise ValueError(f"policy_overrides names {unknown}, but only the kinds "
+                             f"{tuple(DEFAULT_POLICY)} take a wakeup policy")
 
 
 @dataclass

@@ -262,6 +262,12 @@ class MutexUnlock(_MutexOwnerOp):
             return f"unlock of {self.object_name} by non-owner thread {self.executor}"
         return None
 
+    def coenabled_with(self, other):
+        # The unlocking thread holds the mutex; a wake needs it free.
+        if other.kind == "cond_wake":
+            return other.mutex_oid != self.oid
+        return super().coenabled_with(other)
+
     def apply(self, s):
         m = s.objects[self.oid]
         if m.owner == self.executor:
@@ -448,6 +454,15 @@ class CondEnqueue(_CondWaitStep):
             return (f"cond_wait on {self.object_name} without holding "
                     f"{self.mutex_name} (thread {self.executor})")
         return None
+
+    def coenabled_with(self, other):
+        # The waiter holds the mutex (else `usage_error`); a lock or a wake
+        # on it needs it free.
+        if other.kind == "lock":
+            return other.oid != self.mutex_oid
+        if other.kind == "cond_wake":
+            return other.mutex_oid != self.mutex_oid
+        return True
 
     def depends_with(self, other):
         if self.mutex_oid in other.mutex_owner_refs():

@@ -600,10 +600,13 @@ def surfaced_transition(tid: ThreadId, op: Optional[OpRequest], state: ModelStat
     return t
 
 
-def execute_step(state: ModelState, tid: ThreadId, ctx: BuildContext) -> StepOutcome:
+def execute_step(state: ModelState, tid: ThreadId, ctx: BuildContext,
+                 in_place: bool = False) -> StepOutcome:
     """Run one granted transition: apply it to the model, resume the bodies
     it moves to their next visible operation, and install their new pending
-    transitions and body states."""
+    transitions and body states.  The step writes a successor and leaves
+    `state` as it was, unless `in_place`: then it writes `state` itself,
+    which the caller must own outright and never need again."""
     t = state.threads[tid].pending
     if t is None:
         raise ProgramError(f"thread {tid} has no pending transition")
@@ -616,7 +619,11 @@ def execute_step(state: ModelState, tid: ThreadId, ctx: BuildContext) -> StepOut
         findings.append(Finding("assert", msg))
     result = t.result_in(state)
 
-    new_state = t.apply_to(state)
+    if in_place:
+        t.apply(state)
+        new_state = state
+    else:
+        new_state = t.apply_to(state)
     if t.kind == "exit":
         return StepOutcome(new_state, t, findings)
     new_state.threads[tid].executed += 1
@@ -667,6 +674,13 @@ class ReplayCursor:
     NondeterminismDetected with the offending step index.  A compiled
     thread's step that the build context has memoized is not run again, but
     the pending transition it installs is checked the same way.
+
+    The cursor owns its state and only moves forward, so each step writes
+    that state in place instead of copying the parts it changes: the
+    `StepOutcome.state` a step returns is the cursor's live state, which the
+    next step changes.  To go back, start a new cursor (as `permute
+    replay`'s `back` does).  A step that raises may leave the state half
+    written; the cursor is then spent.
     """
 
     def __init__(self, program: Program, policy_overrides=None, max_spurious=0,
@@ -698,8 +712,7 @@ class ReplayCursor:
         if not self.state.thread_enabled(tid, self.budget):
             raise NondeterminismDetected(
                 self.position, f"recorded transition {schedule_step(pending)} is not enabled")
-        outcome = execute_step(self.state, tid, self.ctx)
-        self.state = outcome.state
+        outcome = execute_step(self.state, tid, self.ctx, in_place=True)
         self.findings.extend(outcome.findings)
         self.position += 1
         return outcome

@@ -13,9 +13,10 @@ import pytest
 from oracle import brute_force, reachable_states
 from permute.cli import REPORT_KEYS, ReplayRepl, load_trace, main, verify_trace
 from permute.core import coenabled, dependent, fingerprint
-from permute.corpus import corpus_path
+from permute.corpus import corpus_path, list_scenarios
 from permute.engine import BLOCKED, DEADLOCK, ExplorationConfig, explore
 from permute.scenario import instantiate, parse_scenario
+from test_golden_counts import CONFIGS as GOLDEN_CONFIGS
 
 
 def program(name):
@@ -363,5 +364,32 @@ def test_criterion_12_independent_pairs_commute(capsys):
     ok = not violations and pairs_checked > 0
     with capsys.disabled():
         assert announce(12, "declared-independent pairs commute to equal states", ok,
+                        "; ".join(violations[:3]) or
+                        f"{pairs_checked} pairs over {states_checked} states")
+
+
+# -- 12b. co-enabledness audit -------------------------------------------------------------
+
+def test_criterion_12b_never_coenabled_pairs_are_never_enabled_together(capsys):
+    # A pair claimed never co-enabled adds no backtrack point, so the claim
+    # must hold in every reachable state: here, of every corpus file under
+    # the two configurations `golden_counts.json` pins, at depth 6.
+    violations = []
+    states_checked = pairs_checked = 0
+    for kw in GOLDEN_CONFIGS.values():
+        config = ExplorationConfig(max_depth_per_thread=6, **kw)
+        for name, path in list_scenarios():
+            graph = reachable_states(instantiate(parse_scenario(path.read_text())), config)
+            states_checked += len(graph.states)
+            for state in graph.states.values():
+                pendings = [state.pending_of(tid)
+                            for tid in state.enabled_threads(config.max_depth_per_thread)]
+                for a, b in itertools.combinations(pendings, 2):
+                    pairs_checked += 1
+                    if not coenabled(a, b):
+                        violations.append(f"{name}: {a} / {b} enabled together")
+    ok = not violations and pairs_checked > 0
+    with capsys.disabled():
+        assert announce("12b", "never-co-enabled pairs are never enabled together", ok,
                         "; ".join(violations[:3]) or
                         f"{pairs_checked} pairs over {states_checked} states")

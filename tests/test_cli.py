@@ -58,6 +58,18 @@ def test_check_deadlock_exit_code_and_trace_file(tmp_path, capsys):
         verify_trace(path)
 
 
+def test_cond_wait_without_its_mutex_stays_a_usage_error(tmp_path, capsys):
+    # The search assumes a waiter holds its mutex (a waiter's enqueue is
+    # never co-enabled with a lock or a wake on it), so it explores less of
+    # a program that breaks that rule; the break itself is still reported.
+    scenario = tmp_path / "misuse.scn"
+    scenario.write_text("mutex m\ncond c\nthread waiter { cond_wait c m; }\n"
+                        "thread other { lock m; cond_broadcast c; unlock m; }\n")
+    code, out, _ = run_cli(capsys, "check", str(scenario), "--trace-dir", str(tmp_path))
+    assert code == 1
+    assert "usage error: cond_wait on c without holding m" in out
+
+
 def test_check_missing_file_and_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.scn"))
     assert code == 2 and "cannot read" in err
@@ -367,6 +379,7 @@ def test_replay_rejects_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("field, bad", [
     ("policy_overrides", "5"),
     ("policy_overrides", '{"mutex": "sometimes"}'),
+    ("policy_overrides", '{"mutx": "fifo"}'),
     ("max_spurious_wakeups", '"x"'),
     ("max_spurious_wakeups", "-1"),
     ("max_depth_per_thread", "true"),

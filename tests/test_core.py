@@ -130,6 +130,22 @@ def test_spec_relation_examples():
     assert not dependent(prim.MutexLock(1, 0, "m1"), prim.MutexLock(2, 1, "m2"))
 
 
+def test_mutex_holders_are_never_coenabled_with_steps_that_need_it_free():
+    # A waiter's enqueue and an unlock run with the mutex held; a lock and a
+    # condition wake need it free, whichever condition the wake is on.
+    # Against another mutex, each pair may be enabled together.
+    enqueue = prim.CondEnqueue(1, 5, "c", 0, "m", prim.ARB_INDEP)
+    unlock = prim.MutexUnlock(1, 0, "m")
+    for holder, free_on_m, free_on_n in (
+            (enqueue, prim.MutexLock(2, 0, "m"), prim.MutexLock(2, 1, "n")),
+            (enqueue, prim.CondWakeFinish(2, 6, "d", 0, "m"),
+             prim.CondWakeFinish(2, 6, "d", 1, "n")),
+            (unlock, prim.CondWakeFinish(2, 5, "c", 0, "m"),
+             prim.CondWakeFinish(2, 5, "c", 1, "n"))):
+        assert not coenabled(holder, free_on_m) and not coenabled(free_on_m, holder)
+        assert coenabled(holder, free_on_n) and coenabled(free_on_n, holder)
+
+
 def test_clock_vector_merge_is_monotone_and_commutative():
     a = ClockVector({1: 3, 2: 1})
     b = ClockVector({2: 5, 3: 2})

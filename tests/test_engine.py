@@ -16,6 +16,7 @@ from permute.core import (
     coenabled,
     dependent,
     exact_key,
+    fingerprint,
 )
 from permute import engine, runtime
 from permute import primitives as prim
@@ -276,6 +277,13 @@ def test_schedule_steps_were_enabled_in_their_prestates():
     for tr in results:
         cursor = ReplayCursor(scenario(text))
         cursor.run(tr.schedule)  # raises if any step was not enabled
+
+
+def test_policy_overrides_name_only_kinds_that_take_a_policy():
+    ExplorationConfig(policy_overrides=dict.fromkeys(prim.DEFAULT_POLICY, prim.LIFO))
+    for kind in ("mutx", "barrier"):
+        with pytest.raises(ValueError, match=kind):
+            ExplorationConfig(policy_overrides={"mutex": prim.FIFO, kind: prim.FIFO})
 
 
 def test_stop_at_first_failure():
@@ -984,30 +992,31 @@ def _assert_memo_holds(ctx):
 
 def _transitions_seen(program, config):
     """Every distinct transition executed or pending on an explored trace.
-    The search and the replays share transitions through an audited build
-    context, and the search's remembered pair relations are audited too.
-    The replay also audits each step's writes and the enabledness it changes
+    The search and the walks of its schedules share transitions through an
+    audited build context, and the search's remembered pair relations are
+    audited too.  Each walk steps as the search does, by `execute_step` on
+    copies, and audits each step's writes and the enabledness it changes
     against the footprints, and each pending transition's schedule step."""
     traces = []
     with mock.patch.object(engine, "BuildContext", _AuditedContext):
         search = engine._Search(program, config, observer=traces.append)
     search.run()
     _assert_memo_holds(search.ctx)
-    # The replays share one context, as verifies of one scenario do; each
+    # The walks share one context, as verifies of one scenario do; each
     # starts from a state without objects, so every object a shared
     # transition needs is created on a hit.  Scenario objects are all
-    # declared, so their ids agree across replays.
+    # declared, so their ids agree across walks.
     ctx = _AuditedContext(program, config.policy_overrides, config.max_spurious_wakeups)
+    budget = config.max_depth_per_thread
     seen = {}
     for tr in traces:
-        cursor = ReplayCursor(program, budget=config.max_depth_per_thread, ctx=ctx)
+        state = runtime.initial_state(ctx)
         for step in tr.schedule + [None]:
             # Replays test one thread's enabledness; it must agree with the
             # search's enabled set on every state visited.
-            state, budget = cursor.state, config.max_depth_per_thread
             assert [tid for tid in sorted(state.threads)
                     if state.thread_enabled(tid, budget)] == state.enabled_threads(budget)
-            for info in cursor.state.threads.values():
+            for info in state.threads.values():
                 t = info.pending
                 if t is not None:
                     # The schedule step kept on the transition is the one a
@@ -1020,10 +1029,14 @@ def _transitions_seen(program, config):
                            getattr(t, "policy", None))
                     seen.setdefault(key, t)
             if step is not None:
+                # What a replay checks before each step.
+                assert schedule_step(state.threads[step.tid].pending) == step
+                assert state.thread_enabled(step.tid, budget), step
                 contents = _contents(state)
-                outcome = cursor.step(step)
+                outcome = runtime.execute_step(state, step.tid, ctx)
                 _assert_writes_within_footprint(state, contents, outcome)
                 _assert_enabledness_within_footprint(state, outcome)
+                state = outcome.state
     return list(seen.values())
 
 
@@ -1057,3 +1070,29 @@ def test_shared_transitions_keep_payload_types_apart(kw):
     # resume would.
     assert _transitions_seen(_mixed_writes(True), ExplorationConfig(**kw))
     assert _transitions_seen(_mixed_reads(), ExplorationConfig(**kw))
+
+
+@pytest.mark.parametrize("kw", AUDIT_CONFIGS)
+def test_in_place_replay_ends_where_a_copying_walk_does(kw):
+    # A replay cursor writes its own state in place, while the search steps
+    # on copies (`execute_step` without `in_place`).  On every trace a check
+    # persists, both must reach the recorded fingerprint with equal findings.
+    config = ExplorationConfig(max_depth_per_thread=4, keep_all_traces=True, **kw)
+    replays = 0
+    for name, path in list_scenarios():
+        program = scenario(path.read_text())
+        persisted = []
+        explore(program, config, trace_sink=persisted.append)
+        ctx = BuildContext(program, config.policy_overrides, config.max_spurious_wakeups)
+        for tr in persisted:
+            cursor = ReplayCursor(program, budget=config.max_depth_per_thread,
+                                  ctx=ctx).run(tr.schedule)
+            state, findings = runtime.initial_state(ctx), []
+            for step in tr.schedule:
+                outcome = runtime.execute_step(state, step.tid, ctx)
+                state = outcome.state
+                findings.extend(outcome.findings)
+            assert fingerprint(cursor.state) == fingerprint(state) == tr.fingerprint, name
+            assert cursor.findings == findings, name
+            replays += 1
+    assert replays > 500

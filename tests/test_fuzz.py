@@ -1,5 +1,7 @@
 """Differential fuzzing: on small random scenarios, the pruned search must
-find exactly the deadlock states and final states of the brute-force oracle.
+find exactly the deadlock states and final states of the oracle's walk of
+every reachable state (`oracle.reachable_states`, which reaches the end
+states of every interleaving while expanding each state once).
 
 Each scenario has two or three threads that run at most five operations in
 all, over two mutexes, a semaphore, a condition variable and two shared
@@ -18,7 +20,7 @@ derandomized, so the suite runs the same cases every time.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force
+from oracle import reachable_states
 from permute.engine import BLOCKED, DEADLOCK, explore
 from permute.runtime import Program
 from permute.scenario import instantiate, parse_scenario
@@ -71,8 +73,8 @@ def thread_body(draw, first: str, ops: int) -> str:
 
 @st.composite
 def scenarios(draw) -> str:
-    # Two threads twice as often as three: the oracle enumerates every
-    # interleaving, and three threads have many more.
+    # Two threads twice as often as three, which have many more
+    # interleavings to search.
     threads = draw(st.sampled_from((2, 2, 3)))
     spare = MAX_OPS - threads   # operations beyond one per thread
     text = DECLARATIONS.format(sem=draw(st.integers(0, 1)))
@@ -104,6 +106,6 @@ def test_search_finds_the_oracles_deadlock_and_final_states(text):
     assert explore(Program(program.threads, program.declarations),
                    observer=hosted.append) == report
     assert hosted == traces
-    oracle = brute_force(program)
+    oracle = reachable_states(program)
     assert deadlocks == oracle.deadlock_fps
     assert finals == oracle.final_fps
