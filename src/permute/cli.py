@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -89,7 +88,7 @@ class TraceStore:
             f"version: {__version__}",
             f"scenario: {self.scenario_path}",
             f"scenario_sha256: {self.digest}",
-            f"config: {json.dumps(asdict(config), sort_keys=True)}",
+            f"config: {json.dumps(config.as_dict(), sort_keys=True)}",
         ]
 
     def path_for(self, index: int) -> Path:
@@ -109,14 +108,18 @@ class TraceStore:
         return path
 
 
-@dataclass
 class TraceData:
-    scenario_path: Path
-    scenario_sha256: str
-    config: ExplorationConfig
-    steps: list
-    verdict: str
-    fingerprint: str
+    __slots__ = ("scenario_path", "scenario_sha256", "config", "steps", "verdict",
+                 "fingerprint")
+
+    def __init__(self, scenario_path: Path, scenario_sha256: str,
+                 config: ExplorationConfig, steps: list, verdict: str, fingerprint: str):
+        self.scenario_path = scenario_path
+        self.scenario_sha256 = scenario_sha256
+        self.config = config
+        self.steps = steps
+        self.verdict = verdict
+        self.fingerprint = fingerprint
 
 
 class TraceFormatError(Exception):
@@ -262,12 +265,18 @@ class ReplayRepl:
         return True
 
     def forward(self, n: int = 1) -> bool:
+        if n < 0:
+            self._say(f"usage: forward [N], with a count N >= 0, not {n}")
+            return False
         if self.position + n > len(self.trace.steps):
             self._say(f"cannot move forward {n}: trace ends at step {len(self.trace.steps)}")
             return False
         return self.goto(self.position + n)
 
     def back(self, n: int = 1) -> bool:
+        if n < 0:
+            self._say(f"usage: back [N], with a count N >= 0, not {n}")
+            return False
         if n > self.position:
             self._say(f"cannot move back {n}: currently at step {self.position}")
             return False

@@ -36,6 +36,26 @@ class ProgramError(Exception):
     """Malformed program or unregistered operation kind."""
 
 
+class Record:
+    """A plain record whose fields are its class's `__slots__`, in order: it
+    equals a record of its own class with equal fields, and shows them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
+
+
 class VisibleObject:
     """State mirror of one synchronization object (mutex, semaphore, ...).
 

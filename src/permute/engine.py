@@ -79,7 +79,6 @@ back to an earlier point is `runtime.HostBody`'s business.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import (
@@ -87,6 +86,7 @@ from .core import (
     RUNNABLE,
     ClockVector,
     ModelState,
+    Record,
     ThreadId,
     Transition,
     coenabled,
@@ -109,17 +109,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
-class ExplorationConfig:
-    max_depth_per_thread: Optional[int] = None
-    stop_at_first_deadlock: bool = False
-    sleep_sets_enabled: bool = True
-    max_spurious_wakeups: int = 0
-    policy_overrides: dict = field(default_factory=dict)
-    stop_at_first_failure: bool = False
-    keep_all_traces: bool = False
+# The default of `policy_overrides`, which stands for a fresh empty dict; not
+# None, which a trace file's config line may carry and which is refused.
+_NO_OVERRIDES = object()
 
-    def __post_init__(self):
+
+class ExplorationConfig(Record):
+    __slots__ = ("max_depth_per_thread", "stop_at_first_deadlock", "sleep_sets_enabled",
+                 "max_spurious_wakeups", "policy_overrides", "stop_at_first_failure",
+                 "keep_all_traces")
+
+    def __init__(self, max_depth_per_thread: Optional[int] = None,
+                 stop_at_first_deadlock: bool = False, sleep_sets_enabled: bool = True,
+                 max_spurious_wakeups: int = 0, policy_overrides: dict = _NO_OVERRIDES,
+                 stop_at_first_failure: bool = False, keep_all_traces: bool = False):
+        self.max_depth_per_thread = max_depth_per_thread
+        self.stop_at_first_deadlock = stop_at_first_deadlock
+        self.sleep_sets_enabled = sleep_sets_enabled
+        self.max_spurious_wakeups = max_spurious_wakeups
+        self.policy_overrides = {} if policy_overrides is _NO_OVERRIDES else policy_overrides
+        self.stop_at_first_failure = stop_at_first_failure
+        self.keep_all_traces = keep_all_traces
         # Trace files carry a config as JSON, so no field type can be assumed.
         for name in ("stop_at_first_deadlock", "sleep_sets_enabled",
                      "stop_at_first_failure", "keep_all_traces"):
@@ -145,36 +155,55 @@ class ExplorationConfig:
             raise ValueError(f"policy_overrides names {unknown}, but only the kinds "
                              f"{tuple(DEFAULT_POLICY)} take a wakeup policy")
 
+    def as_dict(self) -> dict:
+        """The fields by name: what a trace file's `config:` line holds, and
+        what this class takes back as keywords."""
+        return dict(zip(self.__slots__, self._fields()))
 
-@dataclass
-class ExplorationReport:
-    total_transitions: int = 0
-    traces: int = 0
-    deadlocks: int = 0
-    first_deadlock_trace: Optional[int] = None
-    assertion_failures: list = field(default_factory=list)   # (trace idx, message)
-    data_races: list = field(default_factory=list)           # (var, (tid, tid), trace idx)
-    budget_exhausted_traces: int = 0
-    # Extra findings kept alongside the fixed report surface:
-    usage_errors: list = field(default_factory=list)
-    crashes: list = field(default_factory=list)
-    blocked_traces: int = 0
-    completed_traces: int = 0
+
+class ExplorationReport(Record):
+    __slots__ = ("total_transitions", "traces", "deadlocks", "first_deadlock_trace",
+                 "assertion_failures", "data_races", "budget_exhausted_traces",
+                 "usage_errors", "crashes", "blocked_traces", "completed_traces")
+
+    def __init__(self, total_transitions: int = 0, traces: int = 0, deadlocks: int = 0,
+                 first_deadlock_trace: Optional[int] = None,
+                 assertion_failures: Optional[list] = None,
+                 data_races: Optional[list] = None, budget_exhausted_traces: int = 0,
+                 usage_errors: Optional[list] = None, crashes: Optional[list] = None,
+                 blocked_traces: int = 0, completed_traces: int = 0):
+        self.total_transitions = total_transitions
+        self.traces = traces
+        self.deadlocks = deadlocks
+        self.first_deadlock_trace = first_deadlock_trace
+        # (trace idx, message)
+        self.assertion_failures = [] if assertion_failures is None else assertion_failures
+        # (var, (tid, tid), trace idx)
+        self.data_races = [] if data_races is None else data_races
+        self.budget_exhausted_traces = budget_exhausted_traces
+        # Extra findings kept alongside the fixed report surface:
+        self.usage_errors = [] if usage_errors is None else usage_errors
+        self.crashes = [] if crashes is None else crashes
+        self.blocked_traces = blocked_traces
+        self.completed_traces = completed_traces
 
     def has_findings(self) -> bool:
         return bool(self.deadlocks or self.assertion_failures or self.data_races
                     or self.usage_errors or self.crashes)
 
 
-@dataclass
-class TraceResult:
+class TraceResult(Record):
     """One finished trace, as handed to observers and the trace store."""
 
-    index: int
-    verdict: str
-    fingerprint: str
-    schedule: list            # ScheduleStep per executed step
-    findings: list            # (category, message) found on this trace's new edges
+    __slots__ = ("index", "verdict", "fingerprint", "schedule", "findings")
+
+    def __init__(self, index: int, verdict: str, fingerprint: str, schedule: list,
+                 findings: list):
+        self.index = index
+        self.verdict = verdict
+        self.fingerprint = fingerprint
+        self.schedule = schedule    # ScheduleStep per executed step
+        self.findings = findings    # (category, message) found on this trace's new edges
 
 
 class StackEntry:

@@ -34,7 +34,6 @@ the `BuildContext`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
@@ -45,6 +44,7 @@ from .core import (
     TRANSITION_CLASSES,
     ModelState,
     ProgramError,
+    Record,
     ThreadInfo,
     ThreadId,
     Transition,
@@ -78,18 +78,48 @@ class BodyCrash(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpRequest:
-    kind: str
-    object_name: Optional[str] = None
-    object_kind: Optional[str] = None
-    payload: tuple = ()
-    mutex_name: Optional[str] = None
-    target_name: Optional[str] = None
-    predicate: Optional[Callable[[dict], bool]] = None
-    var_refs: tuple = ()
-    message: str = ""
-    text: str = ""
+class OpRequest(Record):
+    """What a body yields: one visible operation.  Immutable, and hashable
+    by its fields, which `_fields` lists out since the build context keys
+    its tables by requests."""
+
+    __slots__ = ("kind", "object_name", "object_kind", "payload", "mutex_name",
+                 "target_name", "predicate", "var_refs", "message", "text")
+
+    def __init__(self, kind: str, object_name: Optional[str] = None,
+                 object_kind: Optional[str] = None, payload: tuple = (),
+                 mutex_name: Optional[str] = None, target_name: Optional[str] = None,
+                 predicate: Optional[Callable[[dict], bool]] = None,
+                 var_refs: tuple = (), message: str = "", text: str = ""):
+        _set = object.__setattr__
+        _set(self, "kind", kind)
+        _set(self, "object_name", object_name)
+        _set(self, "object_kind", object_kind)
+        _set(self, "payload", payload)
+        _set(self, "mutex_name", mutex_name)
+        _set(self, "target_name", target_name)
+        _set(self, "predicate", predicate)
+        _set(self, "var_refs", var_refs)
+        _set(self, "message", message)
+        _set(self, "text", text)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.object_name, self.object_kind, self.payload,
+                self.mutex_name, self.target_name, self.predicate, self.var_refs,
+                self.message, self.text)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an OpRequest")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an OpRequest")
+
+    def replace(self, **changes) -> OpRequest:
+        """A copy of this request with the fields in `changes` replaced."""
+        return OpRequest(**dict(zip(self.__slots__, self._fields()), **changes))
 
 
 def _default_kind(kind: str) -> str:   # the object kind a `kind` request names by default
@@ -149,11 +179,13 @@ class ops:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ObjectDecl:
-    name: str
-    kind: str
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("name", "kind", "attrs")
+
+    def __init__(self, name: str, kind: str, attrs: Optional[dict] = None):
+        self.name = name
+        self.kind = kind
+        self.attrs = {} if attrs is None else attrs
 
 
 BodyFactory = Callable[[], Iterator[OpRequest]]
@@ -415,7 +447,7 @@ class BuildContext:
             first = req
             if (op.fused_on is None
                     or self.policy_for(op.fused_on, req.object_name) != prim.ARB_FUSED):
-                first = replace(req, kind=op.split[0])
+                first = req.replace(kind=op.split[0])
             self._first_half[req] = first
         return first
 
@@ -426,7 +458,7 @@ class BuildContext:
             return None
         finish = self._finish_half.get(req)
         if finish is None:
-            finish = self._finish_half[req] = replace(req, kind=kind)
+            finish = self._finish_half[req] = req.replace(kind=kind)
         return finish
 
 
@@ -522,7 +554,7 @@ def _same_request(request, recorded: Optional[OpRequest]) -> bool:
     values of different types (1, 1.0, True) print apart."""
     return request is recorded or (
         isinstance(request, OpRequest) and recorded is not None
-        and replace(request, predicate=recorded.predicate) == recorded
+        and request.replace(predicate=recorded.predicate) == recorded
         and _typed(request.payload) == _typed(recorded.payload))
 
 
@@ -559,17 +591,21 @@ def build_transition(tid: ThreadId, req: OpRequest, state: ModelState,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Finding:
-    category: str   # "usage" | "assert" | "crash"
-    message: str
+class Finding(Record):
+    __slots__ = ("category", "message")
+
+    def __init__(self, category: str, message: str):
+        self.category = category   # "usage" | "assert" | "crash"
+        self.message = message
 
 
-@dataclass
 class StepOutcome:
-    state: ModelState
-    transition: Transition
-    findings: list
+    __slots__ = ("state", "transition", "findings")
+
+    def __init__(self, state: ModelState, transition: Transition, findings: list):
+        self.state = state
+        self.transition = transition
+        self.findings = findings
 
 
 def initial_state(ctx: BuildContext) -> ModelState:

@@ -45,9 +45,9 @@ nest at most `MAX_NESTING` levels deep.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import Record
 from .primitives import OPERATIONS, POLICIES, PREFERENCES, VALUE, WITH_MUTEX, WRITE
 from .runtime import ObjectDecl, OpRequest, Program, ops
 
@@ -69,90 +69,118 @@ class ScenarioRuntimeError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
+class Name(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
+class Unary(Record):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Binary(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
-class OpStmt:
+class OpStmt(Record):
     """An operation's statement; its form (`OPERATIONS`) sets `mutex`, the
     written `expr` or the `target` local."""
 
-    kind: str
-    obj: str
-    mutex: Optional[str] = None
-    expr: object = None
-    target: Optional[str] = None
+    __slots__ = ("kind", "obj", "mutex", "expr", "target")
+
+    def __init__(self, kind: str, obj: str, mutex: Optional[str] = None, expr=None,
+                 target: Optional[str] = None):
+        self.kind = kind
+        self.obj = obj
+        self.mutex = mutex
+        self.expr = expr
+        self.target = target
 
 
-@dataclass
-class Assign:
-    target: str
-    expr: object
+class Assign(Record):
+    __slots__ = ("target", "expr")
+
+    def __init__(self, target: str, expr):
+        self.target = target
+        self.expr = expr
 
 
-@dataclass
-class AssertStmt:
-    expr: object
-    message: Optional[str] = None
+class AssertStmt(Record):
+    __slots__ = ("expr", "message")
+
+    def __init__(self, expr, message: Optional[str] = None):
+        self.expr = expr
+        self.message = message
 
 
-@dataclass
-class IfStmt:
-    cond: object
-    then: list
-    orelse: Optional[list] = None
+class IfStmt(Record):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond, then: list, orelse: Optional[list] = None):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass
-class WhileStmt:
-    cond: object
-    body: list
+class WhileStmt(Record):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond, body: list):
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
-class RepeatStmt:
-    count: int
-    body: list
+class RepeatStmt(Record):
+    __slots__ = ("count", "body")
+
+    def __init__(self, count: int, body: list):
+        self.count = count
+        self.body = body
 
 
-@dataclass
-class Decl:
-    name: str
-    kind: str
-    attrs: dict = field(default_factory=dict)
+class Decl(Record):
+    __slots__ = ("name", "kind", "attrs")
+
+    def __init__(self, name: str, kind: str, attrs: Optional[dict] = None):
+        self.name = name
+        self.kind = kind
+        self.attrs = {} if attrs is None else attrs
 
 
-@dataclass
-class ThreadDef:
-    name: str
-    body: list
+class ThreadDef(Record):
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: list):
+        self.name = name
+        self.body = body
 
 
-@dataclass
-class ScenarioProgram:
-    declarations: list = field(default_factory=list)
-    threads: list = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+class ScenarioProgram(Record):
+    __slots__ = ("declarations", "threads", "options")
+
+    def __init__(self, declarations: Optional[list] = None, threads: Optional[list] = None,
+                 options: Optional[dict] = None):
+        self.declarations = [] if declarations is None else declarations
+        self.threads = [] if threads is None else threads
+        self.options = {} if options is None else options
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +199,14 @@ _PUNCT = ("&&", "||", "==", "!=", "<=", ">=",
           "{", "}", "(", ")", ";", ",", "=", "<", ">", "+", "-", "*", "!")
 
 
-@dataclass
 class Token:
-    type: str   # NAME, INT, STRING, or the punctuation itself
-    value: object
-    line: int
-    col: int
+    __slots__ = ("type", "value", "line", "col")
+
+    def __init__(self, type: str, value, line: int, col: int):
+        self.type = type   # NAME, INT, STRING, or the punctuation itself
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list:

@@ -279,6 +279,46 @@ def test_repl_command_loop(tmp_path, capsys):
     assert "unknown command 'bogus'" in text
 
 
+def test_repl_refuses_negative_counts(tmp_path, capsys):
+    repl, out = _repl_for(tmp_path, capsys)
+    assert repl.goto(2)
+    assert not repl.back(-2) and repl.position == 2
+    assert not repl.forward(-1) and repl.position == 2
+    assert "usage: back [N]" in out.getvalue()
+    assert "usage: forward [N]" in out.getvalue()
+
+
+def test_repl_command_loop_refuses_negative_counts(tmp_path, capsys):
+    repl, out = _repl_for(tmp_path, capsys)
+    assert repl.run(io.StringIO("back -2\nforward -1\nb -1\nf -3\nwhere\n")) == 0
+    text = out.getvalue()
+    assert text.count("usage: back [N]") == 2 and text.count("usage: forward [N]") == 2
+    assert re.findall(r"transition: (\d+);", text) == ["0", "0"]   # at start, at `where`
+
+
+@pytest.mark.parametrize("flags, line", [
+    ((), 'config: {"keep_all_traces": false, "max_depth_per_thread": null, '
+         '"max_spurious_wakeups": 0, "policy_overrides": {}, "sleep_sets_enabled": true, '
+         '"stop_at_first_deadlock": false, "stop_at_first_failure": false}'),
+    (("--policy", "lifo", "--max-spurious-wakeups", "1", "--max-thread-depth", "6",
+      "--keep-all-traces"),
+     'config: {"keep_all_traces": true, "max_depth_per_thread": 6, '
+     '"max_spurious_wakeups": 1, "policy_overrides": {"cond": "lifo", "mutex": "lifo", '
+     '"sem": "lifo"}, "sleep_sets_enabled": true, "stop_at_first_deadlock": false, '
+     '"stop_at_first_failure": false}'),
+])
+def test_trace_config_line_is_pinned(tmp_path, capsys, flags, line):
+    # Trace files written by earlier versions must keep loading, so the
+    # config line's keys, order and spelling are part of the format.
+    run_cli(capsys, "check", str(corpus_path("philosophers_mut_deadlock_2")),
+            "--trace-dir", str(tmp_path), *flags)
+    paths = sorted(tmp_path.glob("trace-*.txt"))
+    assert paths
+    for path in paths:
+        assert path.read_text(encoding="utf-8").splitlines()[4] == line
+        verify_trace(path)
+
+
 def test_policy_flag_defers_to_per_object_attributes(tmp_path):
     # --policy sets the default; a declared policy wins for its object.
     from permute.engine import ExplorationConfig, explore
