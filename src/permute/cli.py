@@ -485,12 +485,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:   # argparse: a usage error, or --help
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at the null device,
+        # so that the flush at exit cannot fail again (Python's "Note on
+        # SIGPIPE"), and end as a failed run, not with the findings code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        try:
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+        except OSError:
+            pass
+        return 2
 
 
 if __name__ == "__main__":

@@ -115,7 +115,7 @@ class VisibleObject:
         hold equal values of the same types, at any depth, in every slot
         that `clone` copies and in any instance attribute.  `marshal` writes
         each value of a builtin type with its exact type and refuses any
-        other type; then the values are keyed by `exact_key`.  Raises
+        other type; then the values are keyed by `typed_key`.  Raises
         TypeError when a value can be neither written nor hashed."""
         values = self._slot_values(self)
         if hasattr(self, "__dict__"):
@@ -123,7 +123,7 @@ class VisibleObject:
         try:
             return type(self), marshal.dumps(values, 2)
         except ValueError:   # a value of a type marshal does not write
-            return type(self), tuple(map(_exact_field, values))
+            return type(self), typed_key(values)
 
 
 _CONTAINERS = (list, set, dict)
@@ -149,17 +149,18 @@ def exact_key(value):
 EXACT_NESTING = frozenset((tuple, frozenset))   # the types `exact_key` looks into
 
 
-def _exact_field(value):
-    """`exact_key` of an object field with its type, a list, set or dict
-    taken as the tuple, frozenset or tuple of items it holds."""
+def typed_key(value):
+    """`value` with the type of each value in it, at any depth, also inside
+    lists, sets and dicts (a dict's items in order): equal to another's only
+    when the two values are equal with the same types throughout, and
+    hashable when every value outside those containers is.  Unlike
+    `exact_key`, it takes lists, sets and dicts."""
     kind = type(value)
-    if kind is list:
-        value = tuple(value)
-    elif kind is set:
-        value = frozenset(value)
-    elif kind is dict:
-        value = tuple(value.items())
-    return kind, exact_key(value)
+    if kind is set or kind is frozenset:
+        return kind, frozenset(map(typed_key, value))
+    if kind is tuple or kind is list or kind is dict:
+        return kind, tuple(map(typed_key, value.items() if kind is dict else value))
+    return kind, value
 
 
 class _TransitionType(type):

@@ -3,10 +3,16 @@
 The search keeps one frame per executed step: the pre-state snapshot, the
 enabled set, the backtrack and done sets, and the sleep set.  At every new
 frontier it computes backtrack points for the pending transition of each
-enabled thread (the full Flanagan-Godefroid form), runs the lowest eligible
+live thread (the full Flanagan-Godefroid form), runs the lowest eligible
 thread id, and descends.  Finished subtrees push their transition into the
 frame's sleep set so sibling branches skip reorderings that are already
 covered.
+
+Race detection and the backtrack policy are apart.  Detection finds, for a
+pending transition, the latest step it races with (`latest_race`, or the
+newest-step test of `_Search._init_frame`); the policy turns one race into
+points at the frame the race lands at (`add_backtrack_point`), and is the
+only place that does.
 
 The work per step follows what the step changed:
 
@@ -67,8 +73,10 @@ The work per step follows what the step changed:
   states are hash-consed, so on them the identity tests above on thread
   entries are content tests.
 - A repeated step also reuses the set-up of the frame it leads to: the
-  memo's entry for the step keeps that frame's record, so a repeat runs
-  only the full backtrack scans and no race scan (`_Search._init_frame`).
+  memo's entry for the step keeps that frame's record, which holds the
+  races of the newest-step tests, not the points they made; a repeat hands
+  them to the policy and runs only the full backtrack scans and no race
+  scan (`_Search._init_frame`).
 
 Backtracking restores model state from the frame snapshots.  Every body
 keeps its state in the snapshot too, so popping a frame is all it takes to
@@ -338,20 +346,21 @@ class FootprintIndex:
             positions.pop()
 
 
-def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
-                          next_t: Transition, index: FootprintIndex) -> None:
-    """Add a backtrack point at the pre-state of the latest transition that
-    is dependent with, co-enabled with, and not causally before `next_t`.
+def latest_race(trace: list, clock: ClockVector, next_t: Transition,
+                index: FootprintIndex) -> int:
+    """The position of the latest step of `trace` that races with `next_t`:
+    dependent with it, co-enabled with it, and not causally before it; -1
+    when there is none.  `clock` is the clock of `next_t`'s thread.
 
     Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
     winning.  The related steps of `next_t`'s plan need not be candidates:
     `coenabled` rejects every pair a create or join makes with a step of the
-    thread it names.  A step is causally before `next_t` when the clock of
-    `next_t`'s thread covers it (`core.happens_before`).
+    thread it names.  A step is causally before `next_t` when `clock` covers
+    it (`core.happens_before`).
     """
     executor = next_t.executor
-    clock = frontier.thread_clocks.get(executor, EMPTY_CLOCK).entries
+    entries = clock.entries
     latest = -1
     for positions in index.plan(next_t)[1]:
         for i in reversed(positions):
@@ -363,17 +372,33 @@ def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
                 continue
             if not pair_relations(prior, next_t)[1]:
                 continue
-            if i < clock.get(prior.executor, 0):   # causally before next_t
+            if i < entries.get(prior.executor, 0):   # causally before next_t
                 continue
             latest = i
             break
-    if latest < 0:
-        return
-    entry = stack[latest]
-    if executor in entry.enabled:
-        entry.backtrack.add(executor)
+    return latest
+
+
+def add_backtrack_point(entry: StackEntry, tid: ThreadId) -> None:
+    """The backtrack policy of Flanagan and Godefroid (POPL 2005), for a
+    race of thread `tid`'s pending transition that lands at `entry`, the
+    frame before the racing step: schedule `tid` there, or every thread
+    enabled there when `tid` is not."""
+    if tid in entry.enabled:
+        entry.backtrack.add(tid)
     else:
         entry.backtrack.update(entry.enabled)
+
+
+def update_backtrack_sets(stack: list, trace: list, frontier: StackEntry,
+                          next_t: Transition, index: FootprintIndex) -> None:
+    """Add the backtrack point for the latest race of `next_t`, pending at
+    `frontier`, with a step of `trace` (`latest_race`), at the frame that
+    race lands at (`add_backtrack_point`)."""
+    latest = latest_race(trace, frontier.thread_clocks.get(next_t.executor, EMPTY_CLOCK),
+                         next_t, index)
+    if latest >= 0:
+        add_backtrack_point(stack[latest], next_t.executor)
 
 
 def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
@@ -679,27 +704,32 @@ class _Search:
         parent's but not the same object (its part table started afresh
         between them) only costs the full treatment.
 
-        A frame reached by a memoized step -- its edge, the pre-state's key
-        and the thread that moved -- keeps a record in the memo's entry for
-        that step: its live and enabled lists, the threads the tests of the
-        newest step added to the parent frame's backtrack set, and the
+        A frame's record is what its set-up derives from the state and the
+        parent frame: its live and enabled lists, the threads whose pending
+        transitions race with the newest step (by the tests below), and the
         pending transitions whose thread or clock the step changed, which
-        are scanned over the whole trace.  The record depends only on the
-        edge:
+        are scanned over the whole trace.  Every frame installs its record
+        the same way: each racing thread gets its point at the parent frame
+        by the policy (`add_backtrack_point`), and each rescanned transition
+        gets the full scan (`update_backtrack_sets`).
+
+        A frame reached by a memoized step -- its edge, the pre-state's key
+        and the thread that moved -- keeps its record in the memo's entry
+        for that step.  The record depends only on the edge:
 
         - keyed states are hash-consed, so the identity tests are content
           tests;
         - `parent.live` and `parent.enabled` depend only on the parent's
           key;
         - the budget is fixed for the whole search;
-        - a thread's newest-step outcome depends only on the step `t`, the
-          thread's pending transition, whether the thread's clock covers
-          the newest position (only a create target's clock does), and
-          `parent.enabled`.
+        - whether a thread races with the newest step depends only on the
+          step `t`, the thread's pending transition, and whether the
+          thread's clock covers the newest position (only a create target's
+          clock does, and its clock changed).
 
-        So a frame reached again by the same edge installs the record and
-        runs only the full scans.  It needs no race scan: the first frame
-        of the edge left every race key its enabled accesses can form in
+        So a frame reached again by the same edge installs the record
+        without deriving it.  It needs no race scan: the first frame of the
+        edge left every race key its enabled accesses can form in
         `race_seen`, and this frame has the same enabled accesses.
         """
         stack, trace, index = self.stack, self.trace, self.index
@@ -714,73 +744,65 @@ class _Search:
         parent = stack[-2]
         edge = frame.edge
         record = None if edge is None else edge[2]
-        if record is not None:
-            frame.live, frame.enabled, added, rescanned = record
-            parent.backtrack.update(added)
-            for pending in rescanned:
-                update_backtrack_sets(stack, trace, frame, pending, index)
-            return
-
-        newest = len(trace) - 1
-        step = trace[newest]
-        step_keys = step.key_set
-        threads, parent_threads = state.threads, parent.pre_state.threads
-        clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
-        parent_live, parent_enabled = parent.live, parent.enabled
-        live, enabled, added, rescanned = [], [], set(), []
-        new_accesses = []
-        # Every thread of the program is in the table from the initial state
-        # on, in id order, and successors keep that order.
-        for tid, info in threads.items():
-            pending = info.pending
-            parent_info = parent_threads[tid]
-            if info is parent_info:
-                if tid not in parent_live:
-                    continue
-                live.append(tid)
-                pending_keys = pending.keys
-                target = pending.thread_target
-                if (step_keys is not None and pending_keys is not None
-                        and step_keys.isdisjoint(pending_keys)
-                        and (target is None
-                             or threads.get(target) is parent_threads.get(target))):
-                    # Untouched: the parent's answers stand, and the newest
-                    # step is in none of its candidate lists.
-                    if tid in parent_enabled:
-                        enabled.append(tid)
-                    continue
-                rescan = False
-            else:
-                if not info.has_step(budget):
-                    continue
-                live.append(tid)
-                rescan = (parent_info.pending is not pending
-                          or parent_clocks.get(tid) is not clocks.get(tid))
-            if pending.enabled_in(state):
-                enabled.append(tid)
-                if pending.kind in ("read", "write") and (
-                        pending is not parent_info.pending or tid not in parent_enabled):
-                    new_accesses.append(pending)
-            if rescan:
-                rescanned.append(pending)
-                update_backtrack_sets(stack, trace, frame, pending, index)
-            elif pair_relations(step, pending)[1]:
-                # The parent frame ran the full scan for this transition
-                # with this clock, and nothing that decides an older step's
-                # outcome (the step, the transition, its clock, the frame
-                # the point lands in) has changed since: only the newest
-                # step is tested, directly (by the footprint contract, the
-                # scan's candidates hold it whenever the two race), and its
-                # pre-state is the parent's.  The clock is the parent's,
-                # which covers no step this late.
-                if tid in parent_enabled:
-                    added.add(tid)
+        new_accesses = None
+        if record is None:
+            step = trace[-1]
+            step_keys = step.key_set
+            threads, parent_threads = state.threads, parent.pre_state.threads
+            clocks, parent_clocks = frame.thread_clocks, parent.thread_clocks
+            parent_live, parent_enabled = parent.live, parent.enabled
+            live, enabled, racing, rescanned, new_accesses = [], [], [], [], []
+            # Every thread of the program is in the table from the initial
+            # state on, in id order, and successors keep that order.
+            for tid, info in threads.items():
+                pending = info.pending
+                parent_info = parent_threads[tid]
+                if info is parent_info:
+                    if tid not in parent_live:
+                        continue
+                    live.append(tid)
+                    pending_keys = pending.keys
+                    target = pending.thread_target
+                    if (step_keys is not None and pending_keys is not None
+                            and step_keys.isdisjoint(pending_keys)
+                            and (target is None
+                                 or threads.get(target) is parent_threads.get(target))):
+                        # Untouched: the parent's answers stand, and the
+                        # newest step is in none of its candidate lists.
+                        if tid in parent_enabled:
+                            enabled.append(tid)
+                        continue
+                    rescan = False
                 else:
-                    added.update(parent_enabled)
-        parent.backtrack.update(added)
-        frame.live, frame.enabled = live, enabled
-        if edge is not None:
-            edge[2] = live, enabled, tuple(added), tuple(rescanned)
+                    if not info.has_step(budget):
+                        continue
+                    live.append(tid)
+                    rescan = (parent_info.pending is not pending
+                              or parent_clocks.get(tid) is not clocks.get(tid))
+                if pending.enabled_in(state):
+                    enabled.append(tid)
+                    if pending.kind in ("read", "write") and (
+                            pending is not parent_info.pending or tid not in parent_enabled):
+                        new_accesses.append(pending)
+                if rescan:
+                    rescanned.append(pending)
+                elif pair_relations(step, pending)[1]:
+                    # The parent frame ran the full scan for this transition
+                    # with this clock, and nothing that decides an older
+                    # step's race (the step, the transition, its clock) has
+                    # changed since: only the newest step is tested, directly
+                    # (by the footprint contract, the scan's candidates hold
+                    # it whenever the two race).  The clock is the parent's,
+                    # which covers no step this late.
+                    racing.append(tid)
+            record = live, enabled, tuple(racing), tuple(rescanned)
+            if edge is not None:
+                edge[2] = record
+        frame.live, frame.enabled, racing, rescanned = record
+        for tid in racing:
+            add_backtrack_point(parent, tid)
+        for pending in rescanned:
+            update_backtrack_sets(stack, trace, frame, pending, index)
         if new_accesses:
             self._scan_races(frame, new_accesses)
 
@@ -895,6 +917,6 @@ __all__ = [
     "BLOCKED", "BUDGET_EXHAUSTED", "COMPLETED", "DEADLOCK", "STOPPED_ON_FAILURE",
     "ExplorationConfig", "ExplorationReport", "FootprintIndex", "StackEntry",
     "TraceResult",
-    "classify_endstate", "explore", "pair_relations", "propagate_sleep_set", "select_next",
-    "update_backtrack_sets",
+    "add_backtrack_point", "classify_endstate", "explore", "latest_race", "pair_relations",
+    "propagate_sleep_set", "select_next", "update_backtrack_sets",
 ]

@@ -49,6 +49,7 @@ from .core import (
     ThreadId,
     Transition,
     exact_key,
+    typed_key,
 )
 from . import primitives as prim
 
@@ -555,18 +556,7 @@ def _same_request(request, recorded: Optional[OpRequest]) -> bool:
     return request is recorded or (
         isinstance(request, OpRequest) and recorded is not None
         and request.replace(predicate=recorded.predicate) == recorded
-        and _typed(request.payload) == _typed(recorded.payload))
-
-
-def _typed(value):
-    """`value` with the type of each value in it, at any depth, also inside
-    lists, sets and dicts (a dict's items in order)."""
-    kind = type(value)
-    if kind is set or kind is frozenset:
-        return kind, frozenset(map(_typed, value))
-    if kind is tuple or kind is list or kind is dict:
-        return kind, tuple(map(_typed, value.items() if kind is dict else value))
-    return kind, value
+        and typed_key(request.payload) == typed_key(recorded.payload))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ enabled threads from the state alone, every live thread's pending
 transition is tested against every step of the trace with
 `happens_before`, races are scanned on every frame over every enabled
 access (`_scan_races(frame)`, with no new accesses named), no record is
-read or left, and the clock of every dependent step is merged.  Installing
-it with `use_full_scans` makes `explore` search as the plain
-Flanagan-Godefroid algorithm does, so a test can compare the two.
+read or left, and the clock of every dependent step is merged.  Only the
+backtrack policy, which turns the latest race into points, is the
+engine's own (`add_backtrack_point`).  Installing the reference with
+`use_full_scans` makes `explore` search as the plain Flanagan-Godefroid
+algorithm does, so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ def init_frame(search, frame) -> None:
             prior = trace[i]
             if (dependent(prior, t) and coenabled(prior, t)
                     and not happens_before(i, trace, frame.thread_clocks, t)):
-                entry = stack[i]
-                if tid in entry.enabled:
-                    entry.backtrack.add(tid)
-                else:
-                    entry.backtrack.update(entry.enabled)
+                engine.add_backtrack_point(stack[i], tid)
                 break
     search._scan_races(frame)
 

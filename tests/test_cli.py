@@ -1,7 +1,12 @@
 """Command-line surface: report format, exit codes, trace files, replay REPL."""
 
+import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +434,48 @@ def test_replay_rejects_config_value_of_wrong_type(tmp_path, capsys, field, bad)
     def retype(text):
         return re.sub(rf'"{field}": ([^,{{}}]+|{{[^}}]*}})', f'"{field}": {bad}', text, count=1)
     _one_error_line(*_damaged_trace(tmp_path, capsys, retype))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", str(corpus_path("cond_broadcast_fan")), "--quiet"),
+    ("corpus", "list"),
+], ids=["check", "corpus-list"])
+def test_closed_stdout_ends_with_exit_2_and_one_error_line(tmp_path, argv):
+    # The reader of stdout is gone before permute writes: a clean check
+    # must not report the findings code, and no traceback may follow.
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "permute.cli", *argv], cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_perfbench_traced_mode_runs_a_check_unchanged(tmp_path, capsys):
+    # perfbench's traced repetitions (`run.py --trace 1`) wrap permute's
+    # functions by name; a check run inside them must report as without
+    # them, and the backtrack layer must be seen.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    argv = ("check", str(corpus_path("cond_broadcast_fan")), "--quiet",
+            "--trace-dir", str(tmp_path))
+
+    def report():
+        code = cli_module.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, re.sub(r"(?m)^elapsed_ms: .*$", "", out), err
+
+    untraced = report()
+    tracer = tracer_module.Tracer()
+    with tracer_module.traced_layers(tracer):
+        traced = report()
+    assert traced == untraced
+    assert untraced[0] == 0 and int(report_dict(untraced[1])["traces"]) > 1
+    assert tracer.calls("cli.main") == 1 and tracer.calls("engine.update_backtrack_sets") > 0
+    assert cli_module.main is main   # the tracer was taken off again

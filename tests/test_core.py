@@ -1,6 +1,8 @@
-"""Framework relations, clock vectors, and fingerprints."""
+"""Framework relations, clock vectors, fingerprints and type-exact keys."""
 
+import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,7 @@ from permute.core import (
     dependent,
     fingerprint,
     happens_before,
+    typed_key,
 )
 from permute import primitives as prim
 
@@ -207,3 +210,39 @@ def test_fingerprint_ignores_insertion_order():
     b.objects[0] = prim.MutexObj(0, "m")
     b.threads[0] = ThreadInfo(RUNNABLE)
     assert fingerprint(a) == fingerprint(b)
+
+
+# Values equal to some others in the list but each of its own types, at
+# some depth; no two of them are equal with the same types throughout.
+_TYPED_VALUES = [
+    1, True, 1.0, (1,), (True,), [1], [True], [1.0], {1}, {1.0}, frozenset({1}),
+    {"k": 1}, {"k": True}, {"k": [1]}, {"k": (1,)}, [[1]], [[True]], [(1, [1])],
+    [(1, [1.0])], ({1: [True]},), ({1: [1]},), ({True: [1]},),
+]
+
+
+def test_typed_key_keeps_equal_values_of_other_types_apart_at_any_depth():
+    keys = [typed_key(value) for value in _TYPED_VALUES]
+    assert len(set(keys)) == len(_TYPED_VALUES)
+    # Equal values of the same types throughout have one key, containers
+    # included.
+    assert keys == [typed_key(copy.deepcopy(value)) for value in _TYPED_VALUES]
+    # A dict's items are keyed in order.
+    assert typed_key({"a": 1, "b": 2}) != typed_key({"b": 2, "a": 1})
+
+
+def test_content_key_without_marshal_keys_values_by_type():
+    # A value `marshal` does not write (a Fraction) sends the object's key to
+    # `typed_key`, which keeps 1, True and 1.0 apart inside its lists, sets
+    # and dicts as the marshal form does.
+    def sem(value):
+        obj = prim.SemObj(0, "s")
+        obj.value = value
+        return obj
+
+    half = Fraction(1, 2)
+    payloads = [[half, 1], [half, True], [half, 1.0], {half: [1]}, {half: [True]},
+                {half, 1}, {half, 1.0}, [half, [1]], [half, [True]]]
+    keys = [sem(value).content_key() for value in payloads]
+    assert len(set(keys)) == len(payloads)
+    assert keys == [sem(copy.deepcopy(value)).content_key() for value in payloads]

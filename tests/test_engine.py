@@ -139,6 +139,47 @@ def test_update_backtrack_sets_respects_happens_before():
     assert root.backtrack == set()
 
 
+def test_update_backtrack_sets_falls_back_when_the_racer_is_disabled():
+    # Thread 2 is not enabled where its race lands: every thread enabled
+    # there gets a point instead.
+    lock1 = prim.MutexLock(1, 0, "m")
+    root = frame_with({1: lock1, 2: prim.MutexLock(2, 0, "m"), 3: prim.SemPost(3, 1, "s")},
+                      enabled=[1, 3])
+    frontier = StackEntry(ModelState(), {}, {1: ClockVector({1: 1})})
+    update_backtrack_sets([root, frontier], [lock1], frontier, prim.MutexLock(2, 0, "m"),
+                          indexed([lock1]))
+    assert root.backtrack == {1, 3}
+
+
+def test_latest_race_is_the_latest_racing_step():
+    # The locks of threads 1 and 3 both race with thread 2's: the later one
+    # is its race.  A clock that covers the later step leaves the earlier
+    # one, and a clock that covers both leaves none.
+    trace = [prim.MutexLock(1, 0, "m"), prim.MutexLock(3, 0, "m")]
+    index, nxt = indexed(trace), prim.MutexLock(2, 0, "m")
+    assert engine.latest_race(trace, EMPTY_CLOCK, nxt, index) == 1
+    assert engine.latest_race(trace, ClockVector({3: 2}), nxt, index) == 0
+    assert engine.latest_race(trace, ClockVector({1: 1, 3: 2}), nxt, index) == -1
+    assert engine.latest_race([], EMPTY_CLOCK, nxt, indexed([])) == -1
+
+
+def test_add_backtrack_point_adds_the_racing_thread_when_it_is_enabled():
+    entry = frame_with({1: prim.MutexLock(1, 0, "m"), 2: prim.MutexLock(2, 0, "m"),
+                        3: prim.SemPost(3, 1, "s")}, backtrack={1})
+    engine.add_backtrack_point(entry, 2)
+    assert entry.backtrack == {1, 2}
+
+
+def test_add_backtrack_point_adds_every_enabled_thread_when_the_racer_is_not():
+    entry = frame_with({1: prim.MutexLock(1, 0, "m"), 2: prim.MutexLock(2, 0, "m"),
+                        3: prim.SemPost(3, 1, "s")}, enabled=[1, 3])
+    engine.add_backtrack_point(entry, 2)
+    assert entry.backtrack == {1, 3}
+    entry = frame_with({1: prim.MutexLock(1, 0, "m")}, enabled=[])
+    engine.add_backtrack_point(entry, 1)   # nothing enabled: no point
+    assert entry.backtrack == set()
+
+
 # -- end-state classification ------------------------------------------------------
 
 def _endstate(statuses, executed=None, budget=None):
@@ -652,49 +693,66 @@ def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
 
 def _long_way_record(search, frame) -> tuple:
     """The record of `frame` derived from its state and its parent frame
-    alone: the live and enabled threads from the state, the points that full
-    backtrack scans for the threads the step did not move add to the
-    parent's backtrack set, and the pending transitions whose thread or
-    clock the step changed.  The search's backtrack sets are left as they
-    were."""
+    alone -- the live and enabled threads from the state, the unmoved live
+    threads whose latest race, found by the full scan (`latest_race`), is
+    with the newest step, and the pending transitions whose thread or clock
+    the step changed -- and the points that full backtrack scans for the
+    unmoved threads add to the parent's backtrack set.  The search's
+    backtrack sets are left as they were."""
     state, parent, stack = frame.pre_state, search.stack[-2], search.stack
     live = state.live_threads(search.config.max_depth_per_thread)
     enabled = state.enabled_threads(live=live)
-    rescanned = []
+    newest = len(search.trace) - 1
+    racing, rescanned = [], []
     backtracks = [entry.backtrack for entry in stack]
     for entry in stack:
         entry.backtrack = set()
     for tid in live:
         pending = state.pending_of(tid)
+        clock = frame.thread_clocks.get(tid, EMPTY_CLOCK)
         if (parent.pre_state.pending_of(tid) is not pending
-                or parent.thread_clocks.get(tid) is not frame.thread_clocks.get(tid)):
+                or parent.thread_clocks.get(tid) is not clock):
             rescanned.append(pending)
-        else:
-            update_backtrack_sets(stack, search.trace, frame, pending, search.index)
-    added = parent.backtrack
+            continue
+        if engine.latest_race(search.trace, clock, pending, search.index) == newest:
+            racing.append(tid)
+        update_backtrack_sets(stack, search.trace, frame, pending, search.index)
+    points = parent.backtrack
     for entry, backtrack in zip(stack, backtracks):
         entry.backtrack = backtrack
-    return live, enabled, added, rescanned
+    return (live, enabled, racing, rescanned), points
 
 
 @pytest.mark.parametrize("bound", [8, None], ids=["evicting", "default"])
 def test_frame_records_equal_the_frames_derived_the_long_way(monkeypatch, bound):
     # A frame reached again by a memoized step installs the record its edge
     # left: each must equal the frame set up from scratch, whichever parent
-    # the frame has this time.  At bound 8 the step map drops steps on 59 of
-    # the 60 searches, and repeats are still served (at 4, the part tables
-    # start afresh before any state comes back, so no step repeats).
+    # the frame has this time, down to the exact list of racing threads, and
+    # the points the policy makes of them must be the ones the full scans
+    # add to the parent.  At bound 8 the step map drops steps on 59 of the
+    # 60 searches, and repeats are still served (at 4, the part tables start
+    # afresh before any state comes back, so no step repeats).
     if bound is not None:
         monkeypatch.setattr(engine, "SUCCESSOR_MEMO_BOUND", bound)
     init = engine._Search._init_frame
-    hits = []
+    hits, fallbacks = [], itertools.count()
 
     def audited(search, frame):
         record = None if frame.edge is None else frame.edge[2]
         if record is not None:
             hits.append(record)
-            live, enabled, added, rescanned = record
-            assert (live, enabled, set(added), list(rescanned)) == _long_way_record(search, frame)
+            live, enabled, racing, rescanned = record
+            if not set(racing) <= set(search.stack[-2].enabled):
+                next(fallbacks)
+            derived, points = _long_way_record(search, frame)
+            assert (live, enabled, list(racing), list(rescanned)) == derived
+            # The policy makes of the racing threads the points the full
+            # scans add to the parent.
+            landing = StackEntry(None, {}, {})
+            landing.enabled = search.stack[-2].enabled
+            for tid in racing:
+                engine.add_backtrack_point(landing, tid)
+            assert landing.backtrack == points
         init(search, frame)
 
     monkeypatch.setattr(engine._Search, "_init_frame", audited)
@@ -703,7 +761,10 @@ def test_frame_records_equal_the_frames_derived_the_long_way(monkeypatch, bound)
             explore(instantiate(parse_scenario(path.read_text())),
                     ExplorationConfig(max_depth_per_thread=4, **kw))
     assert len(hits) > 1000
-    assert any(added for _, _, added, _ in hits) and any(rescanned for *_, rescanned in hits)
+    assert any(racing for _, _, racing, _ in hits) and any(rescanned for *_, rescanned in hits)
+    # Some racing thread is disabled at the parent, so the policy's fallback
+    # to every enabled thread is audited too.
+    assert next(fallbacks) > 0
 
 
 def test_repeated_steps_reuse_their_frame_records(monkeypatch):
