@@ -218,7 +218,7 @@ class StackEntry:
     """One depth-first-search frame."""
 
     __slots__ = ("pre_state", "key", "edge", "live", "enabled", "backtrack", "done",
-                 "sleep", "chosen", "thread_clocks", "initialized")
+                 "sleep", "thread_clocks", "initialized")
 
     def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict,
                  key: Optional[tuple] = None, edge: Optional[list] = None):
@@ -230,7 +230,6 @@ class StackEntry:
         self.backtrack: set = set()
         self.done: set = set()
         self.sleep = sleep                  # triple -> Transition
-        self.chosen: Optional[ThreadId] = None
         self.thread_clocks = thread_clocks  # tid -> clock of its last step
         self.initialized = False
 
@@ -871,7 +870,6 @@ class _Search:
         edge = self.memo.step(frame.pre_state, frame.key, tid, self.ctx)
         outcome, key = edge[0], edge[1]
         t = outcome.transition
-        frame.chosen = tid
         frame.done.add(tid)
         self._record_step_findings(outcome.findings)
 

@@ -14,6 +14,7 @@ objects `apply` writes (optional: the wildcard default is sound).
 
 Every operation a body can request is one row of `OPERATIONS`: the kinds of
 object it takes, its scenario statement and, for a wait, how it splits.
+Every object kind's scenario declaration is one row of `DECLARATIONS`.
 Wait-style operations split into an enqueue step and a finish step so that
 wakeup policies (who gets to complete the wait) are expressible as plain
 enabled predicates.  Under arbitrary wakeup the queue order is semantically
@@ -101,6 +102,37 @@ OPERATIONS = {
     "barrier_wait": Operation(("barrier",), split=("arrive", "barrier_finish")),
     "read": Operation(("var",), VALUE),
     "write": Operation(("var",), WRITE),
+}
+
+
+class Attribute(NamedTuple):
+    """One attribute of an object kind's declaration: its key in `attrs`, its
+    `form` in the scenario language, whose `{}` marks the value and whose
+    other parts are tokens apart from it (`"= {}"`, `"policy {}"`,
+    `"({})"`), and the words the value is one of, or else the least integer
+    it may be (None: any).  An `optional` attribute's form starts with a
+    token, which a declaration that leaves the attribute out omits too."""
+
+    key: str
+    form: str
+    choices: tuple = ()
+    least: Optional[int] = None
+    optional: bool = False
+
+
+_POLICY = Attribute("policy", "policy {}", POLICIES, optional=True)
+
+# Every object kind's declaration, declared once: the scenario language's
+# keywords, parser, bound checks and printer read it.  Its attributes come in
+# the order they are written.
+DECLARATIONS = {
+    "mutex": (),
+    "sem": (Attribute("init", "= {}", least=0), _POLICY),
+    "cond": (_POLICY, Attribute("spurious", "spurious {}", least=0, optional=True)),
+    "rwlock": (Attribute("preference", "{}", PREFERENCES),),
+    "rwwlock": (),
+    "barrier": (Attribute("parties", "({})", least=1),),
+    "var": (Attribute("init", "= {}"),),
 }
 
 

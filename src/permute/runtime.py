@@ -123,43 +123,24 @@ class OpRequest(Record):
         return OpRequest(**dict(zip(self.__slots__, self._fields()), **changes))
 
 
-def _default_kind(kind: str) -> str:   # the object kind a `kind` request names by default
-    return prim.OPERATIONS[kind].object_kinds[0]
-
-
-def _request(kind: str):
-    """Constructor of `kind` requests on one object, of its default kind
-    unless the caller names another."""
-    return staticmethod(lambda name, object_kind=_default_kind(kind):
-                        OpRequest(kind, name, object_kind))
+def _request(kind: str, op: prim.Operation):
+    """Constructor of `kind` requests, whose arguments follow the statement
+    form: `(name)`, `(name, mutex)` or `(name, value)`.  The request names
+    the object kind the row lists first unless the caller names another."""
+    default = op.object_kinds[0]
+    if op.form == prim.WITH_MUTEX:
+        return lambda name, mutex, object_kind=default: OpRequest(
+            kind, name, object_kind, mutex_name=mutex)
+    if op.form == prim.WRITE:
+        return lambda name, value, object_kind=default: OpRequest(
+            kind, name, object_kind, payload=(value,))
+    return lambda name, object_kind=default: OpRequest(kind, name, object_kind)
 
 
 class ops:
     """Request constructors for host-language bodies (and the interpreter):
-    one per row of `primitives.OPERATIONS`, assertions and thread lifecycle."""
-
-    lock = _request("lock")
-    unlock = _request("unlock")
-    sem_wait = _request("sem_wait")
-    sem_post = _request("sem_post")
-    sem_getvalue = _request("sem_getvalue")
-    cond_signal = _request("cond_signal")
-    cond_broadcast = _request("cond_broadcast")
-    rdlock = _request("rdlock")
-    wrlock = _request("wrlock")
-    wrlock1 = _request("wrlock1")
-    wrlock2 = _request("wrlock2")
-    rwunlock = _request("rwunlock")
-    barrier_wait = _request("barrier_wait")
-    read = _request("read")
-
-    @staticmethod
-    def cond_wait(cond, mutex):
-        return OpRequest("cond_wait", cond, _default_kind("cond_wait"), mutex_name=mutex)
-
-    @staticmethod
-    def write(name, value):
-        return OpRequest("write", name, _default_kind("write"), payload=(value,))
+    one per row of `primitives.OPERATIONS`, such as `ops.lock("m")` or
+    `ops.write("x", 1)`, set below, and assertions and thread lifecycle."""
 
     @staticmethod
     def assert_check(predicate, message, var_refs=(), text=""):
@@ -175,12 +156,20 @@ class ops:
         return OpRequest("join", target_name=thread_name)
 
 
+for _kind, _op in prim.OPERATIONS.items():
+    setattr(ops, _kind, staticmethod(_request(_kind, _op)))
+
+
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
 
 
-class ObjectDecl:
+class ObjectDecl(Record):
+    """A declared object or variable: its kind's attributes, such as a
+    semaphore's `init`, are in `attrs`, keyed as `primitives.DECLARATIONS`
+    lists them."""
+
     __slots__ = ("name", "kind", "attrs")
 
     def __init__(self, name: str, kind: str, attrs: Optional[dict] = None):

@@ -20,10 +20,7 @@ operation ends with a livelock crash.
 Grammar sketch::
 
     program   := (decl | option | thread)*
-    decl      := "mutex" NAME | "sem" NAME "=" INT [policy P]
-               | "cond" NAME [policy P] ["spurious" INT]
-               | "rwlock" NAME ("reader_pref"|"writer_pref"|"no_pref")
-               | "rwwlock" NAME | "barrier" NAME "(" INT ")" | "var" NAME "=" INT
+    decl      := KIND NAME attribute*
     option    := "option" NAME
     thread    := "thread" NAME "{" stmt* "}"
     stmt      := opStmt ";" | NAME "=" expr ";"
@@ -33,6 +30,8 @@ Grammar sketch::
                | "repeat" INT block
     opStmt    := WORD NAME | NAME "=" WORD NAME | WORD NAME expr | WORD NAME NAME
 
+Each object kind takes the attributes, in their forms, that its row of
+`primitives.DECLARATIONS` lists: `sem s = 1 policy fifo`, `barrier b (4)`.
 Each operation word takes the form and object kinds that its row of
 `primitives.OPERATIONS` names: `lock m;`, `v = read x;`, `write x v + 1;`,
 `cond_wait c m;`.  `#` starts a comment.  Integers, signed 64-bit, are the
@@ -48,7 +47,7 @@ import operator
 from typing import Optional
 
 from .core import Record
-from .primitives import OPERATIONS, POLICIES, PREFERENCES, VALUE, WITH_MUTEX, WRITE
+from .primitives import DECLARATIONS, OPERATIONS, VALUE, WITH_MUTEX, WRITE
 from .runtime import ObjectDecl, OpRequest, Program, ops
 
 
@@ -156,15 +155,6 @@ class RepeatStmt(Record):
         self.body = body
 
 
-class Decl(Record):
-    __slots__ = ("name", "kind", "attrs")
-
-    def __init__(self, name: str, kind: str, attrs: Optional[dict] = None):
-        self.name = name
-        self.kind = kind
-        self.attrs = {} if attrs is None else attrs
-
-
 class ThreadDef(Record):
     __slots__ = ("name", "body")
 
@@ -188,13 +178,13 @@ class ScenarioProgram(Record):
 # ---------------------------------------------------------------------------
 
 KEYWORDS = {
-    "mutex", "sem", "cond", "rwlock", "rwwlock", "barrier", "var", "thread",
-    "option", "assert", "if", "else", "while", "repeat", *OPERATIONS,
+    "thread", "option", "assert", "if", "else", "while", "repeat", *DECLARATIONS, *OPERATIONS,
 }
 
 # The range of scenario integers: signed 64-bit.
 INT_MIN, INT_MAX = -2**63, 2**63 - 1
 
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 _PUNCT = ("&&", "||", "==", "!=", "<=", ">=",
           "{", "}", "(", ")", ";", ",", "=", "<", ">", "+", "-", "*", "!")
 
@@ -313,9 +303,10 @@ class _Parser:
             self.error(f"expected {type_!r}, found {tok.value!r}")
         return self.next()
 
-    def eat_word(self, word: str) -> bool:
+    def eat(self, text: str) -> bool:
+        """Take the next token if it is the word or punctuation `text`."""
         tok = self.peek()
-        if tok.type == "NAME" and tok.value == word:
+        if tok.value == text and tok.type in ("NAME", text):
             self.next()
             return True
         return False
@@ -355,45 +346,43 @@ class _Parser:
                 self.next()
                 name = self.expect("NAME").value
                 prog.options[name] = True
-            elif word in ("mutex", "sem", "cond", "rwlock", "rwwlock", "barrier", "var"):
+            elif word in DECLARATIONS:
                 prog.declarations.append(self.decl())
             else:
                 self.error(f"expected a declaration or thread, found {word!r}")
         _validate(prog)
         return prog
 
-    def decl(self) -> Decl:
+    def decl(self) -> ObjectDecl:
+        """A declaration, its attributes in the forms its kind's row of
+        `DECLARATIONS` gives them."""
         kind = self.next().value
         name = self.ident("object name")
         attrs: dict = {}
-        if kind == "sem":
-            self.expect("=")
-            attrs["init"] = self.integer()
-            self._policy_attr(attrs)
-        elif kind == "cond":
-            self._policy_attr(attrs)
-            if self.eat_word("spurious"):
-                attrs["spurious"] = self.integer()
-        elif kind == "rwlock":
-            tok = self.expect("NAME")
-            if tok.value not in PREFERENCES:
-                self.error(f"expected a preference {PREFERENCES}, found {tok.value!r}", tok)
-            attrs["preference"] = tok.value
-        elif kind == "barrier":
-            self.expect("(")
-            attrs["parties"] = self.integer()
-            self.expect(")")
-        elif kind == "var":
-            self.expect("=")
-            attrs["init"] = self.integer()
-        return Decl(name, kind, attrs)
+        for attr in DECLARATIONS[kind]:
+            lead, trail = (part.split() for part in attr.form.split("{}"))
+            if attr.optional and not self.eat(lead[0]):
+                continue
+            self.expect_all(lead[1:] if attr.optional else lead)
+            tok = self.peek()
+            if attr.choices:
+                value = self.expect("NAME").value
+                if value not in attr.choices:
+                    self.error(f"expected a {attr.key} {attr.choices}, found {value!r}", tok)
+            else:
+                value = self.integer()
+                if attr.least is not None and value < attr.least:
+                    self.error(f"{attr.key} of {kind} {name!r} must be at least {attr.least}, "
+                               f"found {value}", tok)
+            attrs[attr.key] = value
+            self.expect_all(trail)
+        return ObjectDecl(name, kind, attrs)
 
-    def _policy_attr(self, attrs: dict) -> None:
-        if self.eat_word("policy"):
-            tok = self.expect("NAME")
-            if tok.value not in POLICIES:
-                self.error(f"expected a policy {POLICIES}, found {tok.value!r}", tok)
-            attrs["policy"] = tok.value
+    def expect_all(self, texts: list) -> None:
+        """Take the words and punctuation `texts`, in order."""
+        for text in texts:
+            if not self.eat(text):
+                self.error(f"expected {text!r}, found {self.peek().value!r}")
 
     def thread_def(self) -> ThreadDef:
         self.next()  # "thread"
@@ -430,7 +419,7 @@ class _Parser:
             self.expect(")")
             then = self.block()
             orelse = None
-            if self.eat_word("else"):
+            if self.eat("else"):
                 orelse = self.block()
             return IfStmt(cond, then, orelse)
         if word == "while":
@@ -515,7 +504,7 @@ class _Parser:
 
     def comparison(self):
         left = self.additive()
-        if self.peek().type in ("==", "!=", "<", "<=", ">", ">="):
+        if self.peek().type in _COMPARISONS:
             op = self.next().type
             return Binary(op, left, self.additive())
         return left
@@ -588,12 +577,6 @@ def _validate(prog: ScenarioProgram) -> None:
         if decl.name in kinds:
             raise ScenarioError(f"duplicate declaration of {decl.name!r}")
         kinds[decl.name] = decl.kind
-        if decl.kind == "sem" and decl.attrs.get("init", 0) < 0:
-            raise ScenarioError(f"semaphore {decl.name!r} initialized below zero")
-        if decl.kind == "barrier" and decl.attrs.get("parties", 1) < 1:
-            raise ScenarioError(f"barrier {decl.name!r} needs at least one party")
-        if decl.kind == "cond" and decl.attrs.get("spurious", 0) < 0:
-            raise ScenarioError(f"condition {decl.name!r} has a negative spurious bound")
     seen_threads = set()
     for thread in prog.threads:
         if thread.name == "main":
@@ -653,8 +636,6 @@ def _validate_block(stmts, kinds, assigned, tname) -> None:
             _check_locals(st.cond, assigned, f"while in thread {tname}")
             _validate_block(st.body, kinds, assigned, tname)
         elif isinstance(st, RepeatStmt):
-            if st.count < 0:
-                raise ScenarioError(f"repeat count must be nonnegative in thread {tname}")
             _validate_block(st.body, kinds, assigned, tname)
 
 
@@ -662,6 +643,8 @@ def _validate_block(stmts, kinds, assigned, tname) -> None:
 # Printing (canonical form; print . parse is the identity on trees)
 # ---------------------------------------------------------------------------
 
+# The parser's levels of the binary operators, loosest first.  Between them,
+# `!` is at level 3, looser than the comparisons, and unary minus at 7.
 _PRECEDENCE = {"||": 1, "&&": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
                ">=": 4, "+": 5, "-": 5, "*": 6}
 
@@ -672,11 +655,12 @@ def print_expr(expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Name):
         return expr.name
     if isinstance(expr, Unary):
-        inner = print_expr(expr.operand, 7)
-        text = f"{expr.op}{inner}"
-        return f"({text})" if parent_prec > 7 else text
+        prec = 3 if expr.op == "!" else 7
+        text = f"{expr.op}{print_expr(expr.operand, prec)}"
+        return f"({text})" if parent_prec > prec else text
     prec = _PRECEDENCE[expr.op]
-    left = print_expr(expr.left, prec)
+    # Comparisons do not chain, so a comparison on the left is bracketed too.
+    left = print_expr(expr.left, prec + 1 if expr.op in _COMPARISONS else prec)
     right = print_expr(expr.right, prec + 1)
     text = f"{left} {expr.op} {right}"
     return f"({text})" if parent_prec > prec else text
@@ -728,28 +712,9 @@ def _print_stmt(st, indent: int, out: list) -> None:
 def print_scenario(prog: ScenarioProgram) -> str:
     out = []
     for decl in prog.declarations:
-        if decl.kind == "mutex":
-            out.append(f"mutex {decl.name}")
-        elif decl.kind == "sem":
-            line = f"sem {decl.name} = {decl.attrs['init']}"
-            if "policy" in decl.attrs:
-                line += f" policy {decl.attrs['policy']}"
-            out.append(line)
-        elif decl.kind == "cond":
-            line = f"cond {decl.name}"
-            if "policy" in decl.attrs:
-                line += f" policy {decl.attrs['policy']}"
-            if "spurious" in decl.attrs:
-                line += f" spurious {decl.attrs['spurious']}"
-            out.append(line)
-        elif decl.kind == "rwlock":
-            out.append(f"rwlock {decl.name} {decl.attrs['preference']}")
-        elif decl.kind == "rwwlock":
-            out.append(f"rwwlock {decl.name}")
-        elif decl.kind == "barrier":
-            out.append(f"barrier {decl.name} ({decl.attrs['parties']})")
-        elif decl.kind == "var":
-            out.append(f"var {decl.name} = {decl.attrs['init']}")
+        out.append(" ".join([decl.kind, decl.name] + [
+            attr.form.format(decl.attrs[attr.key])
+            for attr in DECLARATIONS[decl.kind] if attr.key in decl.attrs]))
     for name in prog.options:
         out.append(f"option {name}")
     for thread in prog.threads:
@@ -993,5 +958,4 @@ def instantiate(prog: ScenarioProgram) -> Program:
     compiler = _Compiler({d.name: d.kind for d in prog.declarations})
     codes = [ThreadCode("main", [(_YIELD, req, 0) for req in main] + [_END], 0)]
     codes += [compiler.thread(t.name, t.body) for t in prog.threads]
-    declarations = [ObjectDecl(d.name, d.kind, dict(d.attrs)) for d in prog.declarations]
-    return Program([(code.name, code.body) for code in codes], declarations, codes)
+    return Program([(code.name, code.body) for code in codes], prog.declarations, codes)

@@ -16,7 +16,6 @@ from permute.scenario import (
     Assign,
     AssertStmt,
     Binary,
-    Decl,
     IfStmt,
     Name,
     Num,
@@ -26,13 +25,14 @@ from permute.scenario import (
     ThreadDef,
     Unary,
     WhileStmt,
+    parse_scenario,
 )
 
 
 @pytest.mark.parametrize("make, fields", [
     (ExplorationReport, ("assertion_failures", "data_races", "usage_errors", "crashes")),
     (ScenarioProgram, ("declarations", "threads", "options")),
-    (lambda: Decl("x", "var"), ("attrs",)),
+    (lambda: parse_scenario("mutex x").declarations[0], ("attrs",)),
     (lambda: ObjectDecl("x", "var"), ("attrs",)),
     (ExplorationConfig, ("policy_overrides",)),
 ])
@@ -95,7 +95,7 @@ def test_op_request_repr_names_every_field():
 _SAME_FIELDS = [
     ((Num, Name), ("x",)),
     ((Unary, Assign, WhileStmt, RepeatStmt, ThreadDef, AssertStmt), ("x", [])),
-    ((Binary, IfStmt, Decl, ScenarioProgram), ("x", "y", None)),
+    ((Binary, IfStmt, ObjectDecl, ScenarioProgram), ("x", "y", None)),
     ((OpStmt,), ("x", "y", None, None, None)),
 ]
 

@@ -4,22 +4,30 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permute.corpus import list_scenarios
 from permute.engine import ExplorationConfig, explore
-from permute.runtime import BuildContext, execute_step, initial_state, ops
+from permute.runtime import BuildContext, ObjectDecl, execute_step, initial_state, ops
 from permute.cli import main
 from permute.core import TRANSITION_CLASSES
-from permute.primitives import DEFAULT_POLICY, OPERATIONS, WITH_MUTEX, WRITE
+from permute.primitives import DECLARATIONS, DEFAULT_POLICY, OPERATIONS, WITH_MUTEX, WRITE
 from permute.scenario import (
+    INT_MAX,
     MAX_NESTING,
     Assign,
+    Binary,
     IfStmt,
+    Name,
+    Num,
     OpStmt,
     ScenarioError,
+    Unary,
     eval_expr,
     instantiate,
     parse_scenario,
+    print_expr,
     print_scenario,
     tokenize,
 )
@@ -59,6 +67,7 @@ def test_declaration_attributes():
     ("rwlock l sideways\nthread t { rdlock l; }", "preference"),
     ("mutex if\nthread t { lock if; }", "keyword"),
     ("rwwlock l\nthread t { wrlock l; }", "needs a rwlock"),
+    ("thread t { repeat -1 { } }", "expected 'INT'"),
 ])
 def test_parse_and_validation_errors(text, needle):
     with pytest.raises(ScenarioError) as err:
@@ -121,9 +130,52 @@ def test_round_trip_on_every_corpus_file():
         assert parse_scenario(printed) == tree, name
 
 
-_DECLARATION = {"mutex": "mutex o", "sem": "sem o = 1", "cond": "cond o",
-                "rwlock": "rwlock o no_pref", "rwwlock": "rwwlock o", "barrier": "barrier o (1)",
-                "var": "var o = 0"}
+def _sample(attr):
+    """A value `attr` may take: its last choice, or one above its bound."""
+    return attr.choices[-1] if attr.choices else (attr.least or 0) + 1
+
+
+def _declaration(kind: str, values: dict) -> str:
+    """The declaration of object o of `kind` with the attributes in `values`."""
+    return " ".join([kind, "o"] + [attr.form.format(values[attr.key])
+                                   for attr in DECLARATIONS[kind] if attr.key in values])
+
+
+@pytest.mark.parametrize("kind", list(DECLARATIONS))
+def test_every_declaration_round_trips_and_refuses_values_out_of_range(kind, tmp_path, capsys):
+    # The declaration with every attribute of its row parses to the record
+    # `Program` takes and prints back byte for byte.
+    values = {attr.key: _sample(attr) for attr in DECLARATIONS[kind]}
+    text = _declaration(kind, values) + "\n"
+    prog = parse_scenario(text)
+    assert prog.declarations == [ObjectDecl("o", kind, values)]
+    assert print_scenario(prog) == text and parse_scenario(print_scenario(prog)) == prog
+    # A value outside the choices or below the bound is an error at the
+    # value's position, and `permute check` says so in one line.
+    for attr in DECLARATIONS[kind]:
+        if attr.choices:
+            bad = "bogus"
+        elif attr.least is not None:
+            bad = attr.least - 1
+        else:
+            continue
+        marked = _declaration(kind, {**values, attr.key: "@"})
+        col, text = marked.index("@") + 1, marked.replace("@", str(bad)) + "\n"
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col) == (1, col), attr.key
+        path = tmp_path / f"{attr.key}.scn"
+        path.write_text(text)
+        assert main(["check", str(path), "--trace-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"1:{col}: " in captured.err, captured.err
+
+
+# Object o of each kind, with only the attributes its declaration needs.
+_DECLARATION = {kind: _declaration(kind, {attr.key: _sample(attr) for attr in attrs
+                                          if not attr.optional})
+                for kind, attrs in DECLARATIONS.items()}
 
 
 @pytest.mark.parametrize("word", list(OPERATIONS))
@@ -155,7 +207,8 @@ def test_readme_scenario_example_uses_every_operation():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("## Scenario language"):]
     text = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    parse_scenario(text)
+    prog = parse_scenario(text)
+    assert {decl.kind for decl in prog.declarations} == set(DECLARATIONS)
     words = {tok.value for tok in tokenize(text) if tok.type == "NAME"}
     assert set(OPERATIONS) <= words
 
@@ -164,6 +217,23 @@ def test_printer_preserves_expression_structure():
     text = "var x = 0\nthread t { a = 1; b = (a + 2) * 3 - -a; c = !(a == 3) && 1 || 0; }"
     tree = parse_scenario(text)
     assert parse_scenario(print_scenario(tree)) == tree
+
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.builds(Num, st.integers(0, INT_MAX)), st.builds(Name, st.sampled_from("abc"))),
+    lambda inner: st.one_of(
+        st.builds(Unary, st.sampled_from("-!"), inner),
+        st.builds(Binary, st.sampled_from(["||", "&&", "==", "!=", "<", "<=", ">", ">=",
+                                           "+", "-", "*"]), inner, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_EXPRESSIONS)
+def test_printed_expressions_parse_back_to_the_same_tree(expr):
+    text = print_expr(expr)
+    prog = parse_scenario(f"thread t {{ a = 0; b = 0; c = 0; r = {text}; }}")
+    assert prog.threads[0].body[-1].expr == expr, text
 
 
 def test_expression_evaluation():
