@@ -16,15 +16,16 @@ only place that does.
 
 The work per step follows what the step changed:
 
-- The backward scans only visit steps that can conflict: a footprint index
-  lists the trace positions of each footprint key, of wildcard steps (see
-  `Transition.footprint`), and of the steps related to each thread by a
-  create or join.  The backtrack scan skips the related steps, which the
-  framework never counts co-enabled (`core.coenabled`); the clock merge
-  visits them, since they are dependent.  The lists a shared transition
-  is pushed to and scanned over are gathered once per search, into its
-  scan plan (`FootprintIndex.plan`), and the backtrack scan reads the
-  causal order from the thread's clock directly.
+- The backward scans only visit steps that can conflict through a claim:
+  a footprint index lists the trace positions of each footprint key and of
+  wildcard steps (see `Transition.footprint`).  The other steps dependent
+  with a transition -- its thread's own, and those a create or join relates
+  to it -- are never co-enabled with it (`core.coenabled`), so the backtrack
+  scan skips them, and the clock merge takes their order from the thread
+  clocks (`_Search._step_clock`).  The lists a shared transition is pushed
+  to and scanned over are gathered once per search, into its scan plan
+  (`FootprintIndex.plan`), and the backtrack scan reads the causal order
+  from the thread's clock directly.
 - A frame other than the root is set up from its parent frame and the one
   step `t` between them (`_Search._init_frame`).  `ModelState.successor`
   copies only the thread entries of `t`'s executor and target (all of them
@@ -274,62 +275,48 @@ def propagate_sleep_set(sleep: dict, executed: Transition) -> dict:
 
 
 class FootprintIndex:
-    """Trace positions by footprint key and by thread, pushed and popped in
-    step with the trace.
+    """Trace positions by footprint key, pushed and popped in step with the
+    trace.
 
     A step is listed under each key of its footprint, or in the wildcard
-    list when it declares none, under the thread that executed it, and
-    under its thread_target.  A step of another thread can only be
-    dependent with a transition when they share a key, when one of them is
-    a wildcard, or when one targets the other's executor, so a scan for the
-    steps a transition may depend on visits just those lists; a wildcard
-    transition visits every position.
+    list when it declares none.  A step of another thread can only be
+    dependent with a transition through a claim when they share a key or
+    when one of them is a wildcard, so a scan for the steps a transition
+    may depend on visits just those lists; a wildcard transition visits
+    every position.  The steps the framework rule makes dependent -- a
+    thread's own and those related to it by a create or join -- are listed
+    nowhere: the thread clocks order them (`_Search._step_clock`).
 
     Every list is made once and kept as long as the index, so the lists of
     a transition the build context shares are gathered once, into its scan
     plan (`plan`).
     """
 
-    __slots__ = ("by_key", "executed", "targeting", "wildcard", "lists_at", "plans")
+    __slots__ = ("by_key", "wildcard", "lists_at", "plans")
 
     def __init__(self):
         self.by_key: dict = {}
-        self.executed: dict = {}     # thread -> positions of its own steps
-        self.targeting: dict = {}    # thread -> positions of steps targeting it
         self.wildcard: list = []
         self.lists_at: list = []     # per trace position: the lists holding it
         self.plans: dict = {}        # serial -> scan plan of a shared transition
 
     def plan(self, t: Transition) -> tuple:
         """The scan plan of `t`: the ascending position lists that `push`
-        appends its position to; the candidate lists, which together hold
-        every step of another thread that `t` may be dependent with through
-        a claim (its key lists and the wildcard list); and the candidate
-        lists followed by the related ones, which hold the steps that
-        target `t`'s executor and the steps of `t`'s target, dependent with
-        `t` by the framework rule and never co-enabled with it.  A list may
+        appends its position to, and the candidate lists, which together
+        hold every step of another thread that `t` may be dependent with
+        through a claim (its key lists and the wildcard list).  A list may
         hold steps of t's own thread too, and a position may appear in more
         than one.  The plan of a shared transition with a footprint is kept
         by its serial; any other is made on every call."""
         plan = self.plans.get(t.serial)
         if plan is not None:
             return plan
-        executed, targeting = self.executed, self.targeting
-        lists = [executed.setdefault(t.executor, [])]
-        related = [targeting.setdefault(t.executor, [])]
-        if t.thread_target is not None:
-            lists.append(targeting.setdefault(t.thread_target, []))
-            related.append(executed.setdefault(t.thread_target, []))
         footprint = t.keys
         if footprint is None:
-            lists.append(self.wildcard)
-            candidates = [range(len(self.lists_at))]
-        else:
-            keyed = [self.by_key.setdefault(key, []) for key in footprint]
-            lists += keyed
-            candidates = [self.wildcard] + keyed
-        plan = lists, candidates, candidates + related
-        if footprint is not None and t.serial is not None:
+            return [self.wildcard], [range(len(self.lists_at))]
+        keyed = [self.by_key.setdefault(key, []) for key in footprint]
+        plan = keyed, [self.wildcard] + keyed
+        if t.serial is not None:
             self.plans[t.serial] = plan
         return plan
 
@@ -353,10 +340,10 @@ def latest_race(trace: list, clock: ClockVector, next_t: Transition,
 
     Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
-    winning.  The related steps of `next_t`'s plan need not be candidates:
-    `coenabled` rejects every pair a create or join makes with a step of the
-    thread it names.  A step is causally before `next_t` when `clock` covers
-    it (`core.happens_before`).
+    winning.  The steps related to `next_t` by a create or join need not be
+    candidates: `coenabled` rejects every pair a create or join makes with a
+    step of the thread it names.  A step is causally before `next_t` when
+    `clock` covers it (`core.happens_before`).
     """
     executor = next_t.executor
     entries = clock.entries
@@ -452,8 +439,9 @@ class SuccessorMemo:
     Equal keys are then equal states, and the search's identity tests on
     thread entries (`_Search._init_frame`) stay exact content tests when a
     recorded successor was first reached from another parent.  A successor
-    is keyed from its parent's parts: only the parts its step replaced are
-    keyed anew.
+    is keyed from its parent's parts: only the parts that are not the
+    parent's -- the ones its step copied, and the objects the bodies it
+    resumed created -- are keyed anew.
 
     A keyed part is never mutated: `ModelState.successor` copies every part
     a step writes before `Transition.apply` runs, as the replay audit
@@ -492,7 +480,7 @@ class SuccessorMemo:
         known = steps.get(edge)
         if known is None:
             outcome = execute_step(state, tid, ctx)
-            known = [outcome, self.key(outcome.state, state, key, outcome.transition), None]
+            known = [outcome, self.key(outcome.state, state, key), None]
             if known[1] is not None:
                 steps[edge] = known
                 if len(steps) > SUCCESSOR_MEMO_BOUND:
@@ -512,34 +500,23 @@ class SuccessorMemo:
         return fp
 
     def key(self, s: ModelState, parent: Optional[ModelState] = None,
-            parent_key: Optional[tuple] = None,
-            t: Optional[Transition] = None) -> Optional[tuple]:
-        """The key of `s`, a root or the successor by step `t` of `parent`,
-        whose key is `parent_key`; None when a value cannot be hashed.  Each
-        object and thread entry `t` replaced is swapped for the part with
+            parent_key: Optional[tuple] = None) -> Optional[tuple]:
+        """The key of `s`, a root or a successor of `parent`, whose key is
+        `parent_key`; None when a value cannot be hashed.  Each object and
+        thread entry that is not the parent's is swapped for the part with
         its content the memo knows; a part new to the memo joins it."""
         objects, threads = s.objects, s.threads
-        copied_objects, copied_threads = objects, threads
         parent_objects = parent_threads = {}
         variables = spurious = None
         if parent is not None:
             parent_objects, parent_threads = parent.objects, parent.threads
             _, _, variables, spurious = parent_key
-            # The parts to key anew: what `ModelState.successor` copied for
-            # `t`, and the objects the bodies it resumed created; the loops
-            # skip a part still shared with the parent.
-            if t.keys is not None:
-                copied_threads = (t.executor, t.thread_target)
-                if len(objects) == len(parent_objects):
-                    copied_objects = t.keys
         try:
-            for oid in copied_objects:
-                obj = objects.get(oid)
-                if obj is not None and obj is not parent_objects.get(oid):
+            for oid, obj in objects.items():
+                if obj is not parent_objects.get(oid):
                     objects[oid] = _part(self.objects, obj.content_key(), obj)
-            for tid in copied_threads:
-                info = threads.get(tid)
-                if info is not None and info is not parent_threads.get(tid):
+            for tid, info in threads.items():
+                if info is not parent_threads.get(tid):
                     content = (info.status, info.pending, info.executed, id(info.body_state))
                     threads[tid] = _part(self.threads, content, info)
             if parent is None or s.shared_vars is not parent.shared_vars:
@@ -806,15 +783,29 @@ class _Search:
             self._scan_races(frame, new_accesses)
 
     def _step_clock(self, frame: StackEntry, t: Transition) -> ClockVector:
-        """Clock vector of step `t` from `frame`: its thread's clock merged
-        with the clocks of the earlier steps it depends on, then its own
-        entry.  Candidates are walked newest first, and a step whose
-        executor entry the accumulating clock already covers is skipped: its
-        clock is already below the accumulated one, so merging it changes
-        nothing.  The thread's own earlier steps are all covered."""
-        clock = frame.thread_clocks.get(t.executor, EMPTY_CLOCK)
-        trace, step_clocks, index = self.trace, self.step_clocks, self.index
-        for positions in index.plan(t)[2]:
+        """Clock vector of step `t` from `frame`: its thread's clock, merged
+        with the clock of the thread it creates or joins and with the clocks
+        of the earlier steps it depends on through a claim, then its own
+        entry.
+
+        The thread clocks order the steps the framework rule relates to `t`
+        (`core.dependent`).  Its thread's clock covers the thread's own steps
+        and the create that started it (`_execute` seeds it).  A joined
+        thread's clock covers every step of that thread, and no step of a
+        thread follows a join of it, which is enabled only once the thread
+        has exited.  A create's target has no clock yet.  A join seeds no
+        clock: two joins of one thread are independent.
+
+        The candidates of `t`'s scan plan are walked newest first, and a
+        step whose executor entry the accumulating clock already covers is
+        skipped: its clock is already below the accumulated one, so merging
+        it changes nothing."""
+        clocks = frame.thread_clocks
+        clock = clocks.get(t.executor, EMPTY_CLOCK)
+        if t.thread_target is not None:
+            clock = clock.merged(clocks.get(t.thread_target, EMPTY_CLOCK))
+        trace, step_clocks = self.trace, self.step_clocks
+        for positions in self.index.plan(t)[1]:
             for j in reversed(positions):
                 prior = trace[j]
                 if clock.entries.get(prior.executor, 0) > j:
