@@ -136,6 +136,23 @@ DECLARATIONS = {
 }
 
 
+def attribute_error(kind: str, name: str, attr: Attribute, value) -> Optional[str]:
+    """Why `value` cannot be attribute `attr` of the `kind` object `name`:
+    it is not one of the attribute's choices, or, for an attribute with a
+    least value, it is not an int or is below that value.  None when it can
+    be; an attribute with neither, such as a variable's `init`, takes any
+    value."""
+    if attr.choices:
+        if value not in attr.choices:
+            return f"expected a {attr.key} {attr.choices}, found {value!r}"
+    elif attr.least is not None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"{attr.key} of {kind} {name!r} must be an integer, found {value!r}"
+        if value < attr.least:
+            return f"{attr.key} of {kind} {name!r} must be at least {attr.least}, found {value}"
+    return None
+
+
 def _enqueue(queue: list, item, policy: str) -> None:
     # fifo: front is index 0; lifo: top is the last element; arbitrary:
     # sorted insertion keeps the snapshot canonical.

@@ -198,6 +198,10 @@ class Program:
     runtime memoizes both per build context, and runs them again only for a
     key it has not seen (equal values of other types count as other keys)
     or cannot hash.
+
+    A declaration of a kind that `primitives.DECLARATIONS` lists is checked
+    against its row: an attribute the row lacks, or a value the row refuses
+    (`primitives.attribute_error`), raises ProgramError.
     """
 
     def __init__(self, threads: list, declarations: list = (),  # type: ignore[assignment]
@@ -212,6 +216,17 @@ class Program:
             if name in self.tid_of:
                 raise ProgramError(f"duplicate thread name {name!r}")
             self.tid_of[name] = tid
+        for decl in self.declarations:
+            row = prim.DECLARATIONS.get(decl.kind)
+            if row is None:   # a kind declared outside the table
+                continue
+            attributes = {attr.key: attr for attr in row}
+            for key, value in decl.attrs.items():
+                if key not in attributes:
+                    raise ProgramError(f"{decl.kind} {decl.name!r} has no attribute {key!r}")
+                problem = prim.attribute_error(decl.kind, decl.name, attributes[key], value)
+                if problem is not None:
+                    raise ProgramError(problem)
 
     def thread_name(self, tid: ThreadId) -> str:
         return self.threads[tid][0]

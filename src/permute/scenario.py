@@ -47,7 +47,7 @@ import operator
 from typing import Optional
 
 from .core import Record
-from .primitives import DECLARATIONS, OPERATIONS, VALUE, WITH_MUTEX, WRITE
+from .primitives import DECLARATIONS, OPERATIONS, VALUE, WITH_MUTEX, WRITE, attribute_error
 from .runtime import ObjectDecl, OpRequest, Program, ops
 
 
@@ -277,6 +277,11 @@ def _operator_depth(expr) -> int:
     return depth
 
 
+def _shown(tok: Token) -> str:
+    """How a parse error names the token it found."""
+    return "end of file" if tok.type == "EOF" else repr(tok.value)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -300,7 +305,7 @@ class _Parser:
     def expect(self, type_: str) -> Token:
         tok = self.peek()
         if tok.type != type_:
-            self.error(f"expected {type_!r}, found {tok.value!r}")
+            self.error(f"expected {type_!r}, found {_shown(tok)}")
         return self.next()
 
     def eat(self, text: str) -> bool:
@@ -365,15 +370,10 @@ class _Parser:
                 continue
             self.expect_all(lead[1:] if attr.optional else lead)
             tok = self.peek()
-            if attr.choices:
-                value = self.expect("NAME").value
-                if value not in attr.choices:
-                    self.error(f"expected a {attr.key} {attr.choices}, found {value!r}", tok)
-            else:
-                value = self.integer()
-                if attr.least is not None and value < attr.least:
-                    self.error(f"{attr.key} of {kind} {name!r} must be at least {attr.least}, "
-                               f"found {value}", tok)
+            value = self.expect("NAME").value if attr.choices else self.integer()
+            problem = attribute_error(kind, name, attr, value)
+            if problem is not None:
+                self.error(problem, tok)
             attrs[attr.key] = value
             self.expect_all(trail)
         return ObjectDecl(name, kind, attrs)
@@ -382,7 +382,7 @@ class _Parser:
         """Take the words and punctuation `texts`, in order."""
         for text in texts:
             if not self.eat(text):
-                self.error(f"expected {text!r}, found {self.peek().value!r}")
+                self.error(f"expected {text!r}, found {_shown(self.peek())}")
 
     def thread_def(self) -> ThreadDef:
         self.next()  # "thread"
@@ -549,7 +549,7 @@ class _Parser:
                 self.error(f"keyword {tok.value!r} cannot appear in an expression")
             self.next()
             return Name(tok.value)
-        self.error(f"expected an expression, found {tok.value!r}")
+        self.error(f"expected an expression, found {_shown(tok)}")
 
 
 def parse_scenario(text: str) -> ScenarioProgram:

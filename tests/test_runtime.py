@@ -134,6 +134,32 @@ def test_unknown_kind_and_undeclared_variable_are_program_errors():
         execute_step(state, 0, ctx)
 
 
+@pytest.mark.parametrize("decl,message", [
+    (ObjectDecl("s", "sem", {"init": -1}), "init of sem 's' must be at least 0, found -1"),
+    (ObjectDecl("b", "barrier", {"parties": 0}),
+     "parties of barrier 'b' must be at least 1, found 0"),
+    (ObjectDecl("s", "sem", {"init": "x"}), "init of sem 's' must be an integer, found 'x'"),
+    (ObjectDecl("s", "sem", {"init": True}), "init of sem 's' must be an integer, found True"),
+    (ObjectDecl("s", "sem", {"initial": 1}), "sem 's' has no attribute 'initial'"),
+    (ObjectDecl("c", "cond", {"policy": "lifoo"}),
+     "expected a policy ('fifo', 'lifo', 'arb_indep', 'arb_dep', 'arb_fused'), found 'lifoo'"),
+])
+def test_host_declarations_are_checked_against_their_rows(decl, message):
+    # A host program's declarations meet the bounds and choices a scenario's
+    # do, and a misspelled attribute is not ignored.
+    with pytest.raises(ProgramError) as err:
+        program_of(lambda: iter(()), declarations=[decl])
+    assert str(err.value) == message
+
+
+def test_host_declarations_without_a_row_or_bound_take_any_value():
+    # A kind outside the table is its class's business, and a variable
+    # holds any value.
+    program_of(declarations=[ObjectDecl("g", "gate", {"anything": object()}),
+                             ObjectDecl("x", "var", {"init": "x"}),
+                             ObjectDecl("y", "var", {"init": [1, True]})])
+
+
 def test_crashing_body_is_a_finding_not_an_abort():
     def body():
         yield ops.sem_post("s")

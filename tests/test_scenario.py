@@ -68,6 +68,10 @@ def test_declaration_attributes():
     ("mutex if\nthread t { lock if; }", "keyword"),
     ("rwwlock l\nthread t { wrlock l; }", "needs a rwlock"),
     ("thread t { repeat -1 { } }", "expected 'INT'"),
+    ("barrier b (3", "1:13: expected ')', found end of file"),
+    ("mutex m\nthread t { x = ", "2:16: expected an expression, found end of file"),
+    ("thread t { lock", "1:16: expected 'NAME', found end of file"),
+    ("sem s = ", "1:9: expected 'INT', found end of file"),
 ])
 def test_parse_and_validation_errors(text, needle):
     with pytest.raises(ScenarioError) as err:
