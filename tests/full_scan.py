@@ -7,7 +7,8 @@ newest step for a thread the last step did not move, and scans for races
 only when a new access is enabled that can form a race key not yet seen,
 over the variables of such accesses; a frame reached again by a memoized
 step installs the record its first set-up left and runs only the full
-scans; its clock merge skips steps the accumulating clock already covers.
+scans; its clock merge takes the order of creates and joins from the
+thread clocks and skips steps the accumulating clock already covers.
 The reference below does none of this: every frame computes its live and
 enabled threads from the state alone, every live thread's pending
 transition is tested against every step of the trace with

@@ -8,7 +8,9 @@ import pytest
 
 from permute.core import (
     EMPTY_CLOCK,
+    OBJECT_CLASSES,
     RUNNABLE,
+    TRANSITION_CLASSES,
     ClockVector,
     ModelState,
     ThreadInfo,
@@ -48,7 +50,10 @@ from permute.runtime import (
 )
 from permute.scenario import ThreadCode, instantiate, parse_scenario
 
+import full_scan
 from full_scan import use_full_scans
+from scripted import Script, body_of, scripted
+from test_extension import GateObj, GateOpen, GatePass, make_program as gate_program
 from oracle import brute_force, reachable_states, state_key
 
 
@@ -458,42 +463,10 @@ def test_rebuilt_assert_naming_other_variables_is_detected():
         explore(program)
 
 
-class _Script:
-    """Compiled code that surfaces a fixed list of requests in order; its
-    state is the index of the request it surfaced last."""
-
-    def __init__(self, requests):
-        self.requests = requests
-
-    def start(self):
-        return self._at(0)
-
-    def resume(self, state, result):
-        return self._at(state + 1)
-
-    def _at(self, i):
-        return (self.requests[i] if i < len(self.requests) else None), i
-
-
-def _body_of(requests):
-    def body():
-        for request in requests:
-            yield request
-    return body
-
-
-def _scripted(scripts, declarations, compiled):
-    """A program whose threads surface the requests `scripts` lists, run as
-    compiled code or as host generators."""
-    codes = [_Script(requests) for requests in scripts.values()] if compiled else ()
-    return Program([(name, _body_of(requests)) for name, requests in scripts.items()],
-                   declarations, codes)
-
-
 def _mixed_writes(compiled):
     # Equal values of four types, one of them unhashable, written to one
     # variable by one thread while another reads it.
-    return _scripted({"main": [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")],
+    return scripted({"main": [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")],
                       "w": [ops.write("x", value) for value in ([1], True, 1, 1.0)],
                       "r": [ops.read("x")]},
                      [ObjectDecl("x", "var", {"init": 0})], compiled)
@@ -526,10 +499,10 @@ def _mixed_reads(first=True, second=1):
     # writes, keeps the value in a local across two steps and writes it.
     reader = scenario(_READER)
     main = [ops.create("w"), ops.create("r"), ops.join("w"), ops.join("r")]
-    return Program([("main", _body_of(main)),
-                    ("w", _body_of([ops.write("x", first), ops.write("x", second)])),
+    return Program([("main", body_of(main)),
+                    ("w", body_of([ops.write("x", first), ops.write("x", second)])),
                     reader.threads[1]],
-                   reader.declarations, [_Script(main), None, reader.codes[1]])
+                   reader.declarations, [Script(main), None, reader.codes[1]])
 
 
 def _racing_writes():
@@ -540,11 +513,11 @@ def _racing_writes():
     main = [ops.create("a"), ops.create("b"), ops.create("r"),
             ops.join("a"), ops.join("b"), ops.join("r")]
     writers = {"a": [ops.write("x", True)], "b": [ops.write("x", 1)]}
-    return Program([("main", _body_of(main))]
-                   + [(name, _body_of(requests)) for name, requests in writers.items()]
+    return Program([("main", body_of(main))]
+                   + [(name, body_of(requests)) for name, requests in writers.items()]
                    + [reader.threads[1]],
                    reader.declarations,
-                   [_Script(main)] + [_Script(requests) for requests in writers.values()]
+                   [Script(main)] + [Script(requests) for requests in writers.values()]
                    + [reader.codes[1]])
 
 
@@ -657,8 +630,14 @@ def test_successor_memo_explores_like_no_memo(monkeypatch, bound):
     # serve some steps from the memo, or the comparison shows nothing.
     programs = [(name, lambda path=path: instantiate(parse_scenario(path.read_text())))
                 for name, path in list_scenarios()]
+    # The gate's steps are wildcards: a keyed search copies and keys every
+    # part after one.
     programs += [("racing_writes", _racing_writes),
-                 ("mixed_writes", lambda: _mixed_writes(True))]
+                 ("mixed_writes", lambda: _mixed_writes(True)),
+                 ("gate", lambda: gate_program(waiters=3, compiled=True))]
+    monkeypatch.setitem(OBJECT_CLASSES, "gate", GateObj)
+    monkeypatch.setitem(TRANSITION_CLASSES, "gate_open", GateOpen)
+    monkeypatch.setitem(TRANSITION_CLASSES, "gate_pass", GatePass)
     if bound is not None:
         monkeypatch.setattr(engine, "SUCCESSOR_MEMO_BOUND", bound)
     counts = collections.Counter()
@@ -848,6 +827,72 @@ def test_incremental_scans_explore_like_full_scans(monkeypatch):
         reference = []
         assert explore(program(), config, observer=reference.append) == report, f"{name} {kw}"
         assert reference == traces, f"{name} {kw}"
+
+
+def _worker_joins_its_child():
+    # A worker creates and joins its own child, which writes x; main reads
+    # x after joining the worker, so only the two joins order the read
+    # after the write.
+    def main():
+        yield ops.create("w")
+        yield ops.lock("m")
+        yield ops.unlock("m")
+        yield ops.join("w")
+        yield ops.read("x")
+
+    def worker():
+        yield ops.create("c")
+        yield ops.join("c")
+        yield from _lock_unlock()
+
+    def child():
+        yield ops.write("x", 1)
+        yield from _lock_unlock()
+
+    return Program([("main", main), ("w", worker), ("c", child)],
+                   [ObjectDecl("x", "var", {"init": 0})])
+
+
+def _two_joiners():
+    # Threads a and b both join t, which writes x, then each reads x and
+    # one writes y, which the other reads: the joins are independent, so
+    # neither joiner is ordered after the other.
+    def joiner(then):
+        def body():
+            yield ops.join("t")
+            yield ops.read("x")
+            yield then
+        return body
+
+    return Program([("main", _create_and_join("t", "a", "b")),
+                    ("t", body_of([ops.write("x", 1)])),
+                    ("a", joiner(ops.write("y", 1))), ("b", joiner(ops.read("y")))],
+                   [ObjectDecl("x", "var", {"init": 0}), ObjectDecl("y", "var", {"init": 0})])
+
+
+def test_step_clocks_equal_the_textbook_merge(monkeypatch):
+    # The search takes create and join order from the thread clocks and
+    # merges only the clocks of its scan plan's candidates; the textbook
+    # clock merges the clock of every dependent earlier step.  They must be
+    # equal for every step of the corpus and of programs whose workers
+    # create, join and are joined.
+    step_clock = engine._Search._step_clock
+    clocks = []
+
+    def audited(search, frame, t):
+        clock = step_clock(search, frame, t)
+        assert clock == full_scan.step_clock(search, frame, t), (search.trace, t)
+        clocks.append(clock)
+        return clock
+
+    monkeypatch.setattr(engine._Search, "_step_clock", audited)
+    programs = [lambda path=path: instantiate(parse_scenario(path.read_text()))
+                for _, path in list_scenarios()]
+    programs += [_worker_joins_its_child, _two_joiners, _join_then_read]
+    for program in programs:
+        for kw in AUDIT_CONFIGS:
+            explore(program(), ExplorationConfig(max_depth_per_thread=4, **kw))
+    assert len(clocks) > 10000
 
 
 def test_scan_plans_are_kept_only_for_shared_transitions():

@@ -22,9 +22,10 @@ from permute.core import (
     register,
 )
 from permute.engine import ExplorationConfig, explore
-from permute.runtime import ObjectDecl, OpRequest, Program
+from permute.runtime import BuildContext, ObjectDecl, OpRequest, Program
 
 from full_scan import use_full_scans
+from scripted import scripted
 
 
 class GateObj(VisibleObject):
@@ -93,22 +94,16 @@ def gate_pass(name):
     return OpRequest("gate_pass", name, "gate")
 
 
-def make_program(waiters=2):
-    def main():
-        for i in range(waiters + 1):
-            yield OpRequest("create", target_name=f"t{i+1}")
-        for i in range(waiters + 1):
-            yield OpRequest("join", target_name=f"t{i+1}")
-
-    def opener():
-        yield gate_open("g")
-
-    def waiter():
-        yield gate_pass("g")
-
-    threads = [("main", main), ("t1", opener)]
-    threads += [(f"t{i+2}", waiter) for i in range(waiters)]
-    return Program(threads, [ObjectDecl("g", "gate")])
+def make_program(waiters=2, compiled=False):
+    """Main starts an opener t1 and `waiters` passers, then joins them; the
+    threads run as host generators, or as compiled code, which the search
+    keys in its successor memo."""
+    workers = [f"t{i + 1}" for i in range(waiters + 1)]
+    scripts = {"main": [OpRequest("create", target_name=name) for name in workers]
+               + [OpRequest("join", target_name=name) for name in workers],
+               "t1": [gate_open("g")]}
+    scripts.update((name, [gate_pass("g")]) for name in workers[1:])
+    return scripted(scripts, [ObjectDecl("g", "gate")], compiled)
 
 
 def test_custom_primitive_explores_and_blocks_correctly():
@@ -161,15 +156,20 @@ def test_independent_passes_collapse_to_one_trace():
     assert independent.deadlocks == conservative.deadlocks == 0
 
 
-@pytest.mark.parametrize("pass_class", [GatePass, ConservativePass])
-def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class):
+@pytest.mark.parametrize("pass_class,compiled", [
+    pytest.param(cls, compiled, id=cls.__name__ + ("-compiled" if compiled else ""))
+    for compiled in (False, True) for cls in (GatePass, ConservativePass)])
+def test_undeclared_footprint_explores_like_a_full_scan(monkeypatch, pass_class, compiled):
     # The gate declares no footprint, so its steps are wildcards in the
-    # index; the search must match one that scans every step for everything.
+    # index; the search must match one that scans every step for everything,
+    # also when it keys its states (compiled threads).
     register(pass_class)
+    # Compiled, no thread is a host generator, so the search keys its states.
+    assert (not BuildContext(make_program(compiled=compiled), {}, 0).host_threads) == compiled
 
     def explore_all():
         traces = []
-        report = explore(make_program(waiters=3), observer=traces.append)
+        report = explore(make_program(waiters=3, compiled=compiled), observer=traces.append)
         return report, traces
 
     indexed = explore_all()
