@@ -9,9 +9,9 @@ classes that build themselves from them.  A transition declares only
 its *own* relations: the framework combines two transitions' claims with OR
 for dependence (either side may assert a conflict) and AND for co-enabledness
 (either side may veto).  Claims are written under the framework guarantee
-that the two transitions run on different threads and that neither creates
-or joins the other's thread; those cases are handled here, once, for both
-relations.
+that the two transitions run on different threads, that neither creates or
+joins the other's thread, and that they do not create and join one thread;
+those cases are handled here, once, for both relations.
 """
 
 from __future__ import annotations
@@ -360,26 +360,34 @@ def register(cls=None, kinds=()):
 # ---------------------------------------------------------------------------
 
 
-def dependent(a: Transition, b: Transition) -> bool:
-    """Symmetric dependence: same thread, create/join pairing, or either claim."""
-    if a.executor == b.executor:
-        return True
+def thread_related(a: Transition, b: Transition) -> bool:
+    """The create/join rule: one of the two steps is of the thread the other
+    creates or joins, or one creates the thread the other creates or joins.
+    Such a pair is dependent and never co-enabled: the named thread has no
+    pending transition before its create applies, nor once a join of it is
+    enabled, and a join needs the thread exited where a create needs it
+    embryo.  Two joins of one thread are not related."""
     if a.thread_target == b.executor or b.thread_target == a.executor:
+        return True
+    return (a.thread_target is not None and a.thread_target == b.thread_target
+            and (a.kind == "create" or b.kind == "create"))
+
+
+def dependent(a: Transition, b: Transition) -> bool:
+    """Symmetric dependence: same thread, create/join relation, or either claim."""
+    if a.executor == b.executor or thread_related(a, b):
         return True
     return a.depends_with(b) or b.depends_with(a)
 
 
 def coenabled(a: Transition, b: Transition) -> bool:
-    """Symmetric co-enabledness: a thread has one next transition; a create
-    or join is never co-enabled with a step of the thread it names (the
-    thread has no pending transition before its create applies, nor once a
-    join of it is enabled); otherwise either side may veto the pair (AND of
-    the two claims).  The engine's backtrack scan relies on the create/join
-    rule being here: it does not visit steps related to a transition only by
-    `thread_target`, since this rule rejects every such pair."""
-    if a.executor == b.executor:
-        return False
-    if a.thread_target == b.executor or b.thread_target == a.executor:
+    """Symmetric co-enabledness: a thread has one next transition; a pair
+    `thread_related` relates is never co-enabled; otherwise either side may
+    veto the pair (AND of the two claims).  The engine's backtrack scan
+    relies on the create/join rule being here: it does not visit steps
+    related to a transition only by `thread_target`, since this rule
+    rejects every such pair."""
+    if a.executor == b.executor or thread_related(a, b):
         return False
     return a.coenabled_with(b) and b.coenabled_with(a)
 

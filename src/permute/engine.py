@@ -341,9 +341,9 @@ def latest_race(trace: list, clock: ClockVector, next_t: Transition,
     Only the candidate steps `index` lists for `next_t` are tested: the
     latest qualifying step of each candidate list, the latest of those
     winning.  The steps related to `next_t` by a create or join need not be
-    candidates: `coenabled` rejects every pair a create or join makes with a
-    step of the thread it names.  A step is causally before `next_t` when
-    `clock` covers it (`core.happens_before`).
+    candidates: `coenabled` rejects every pair `core.thread_related`
+    relates.  A step is causally before `next_t` when `clock` covers it
+    (`core.happens_before`).
     """
     executor = next_t.executor
     entries = clock.entries
@@ -791,10 +791,10 @@ class _Search:
         The thread clocks order the steps the framework rule relates to `t`
         (`core.dependent`).  Its thread's clock covers the thread's own steps
         and the create that started it (`_execute` seeds it).  A joined
-        thread's clock covers every step of that thread, and no step of a
-        thread follows a join of it, which is enabled only once the thread
-        has exited.  A create's target has no clock yet.  A join seeds no
-        clock: two joins of one thread are independent.
+        thread's clock covers every step of that thread and its create, and
+        no step of a thread follows a join of it, which is enabled only once
+        the thread has exited.  A create's target has no clock yet.  A join
+        seeds no clock: two joins of one thread are independent.
 
         The candidates of `t`'s scan plan are walked newest first, and a
         step whose executor entry the accumulating clock already covers is

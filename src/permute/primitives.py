@@ -574,11 +574,24 @@ class CondWakeFinish(_CondWaitStep):
         s.objects[self.mutex_oid].owner = self.executor
 
 
+# Signals and broadcasts on one condition commute, as two posts do, so they
+# conflict only with the halves of a wait:
+# - Signals and broadcasts are always enabled, so none of them can enable or
+#   disable another.
+# - A signal grants the first ungranted waiter (fifo) or the last one
+#   (lifo); under an arbitrary policy it adds a credit while ungranted
+#   waiters outnumber credits.
+# - A broadcast grants every queued waiter and sets the credits to zero.
+# - `grants` is a set, and no field records who signalled, so any two of
+#   these steps reach the same state in either order.
+WAIT_KINDS = ("cond_enqueue", "cond_wake")
+
+
 @register
 class CondSignal(_ObjectOp):
     kind = "cond_signal"
     __slots__ = ()
-    conflicts = COND_KINDS
+    conflicts = WAIT_KINDS
 
     def apply(self, s):
         cond = s.objects[self.oid]
@@ -603,7 +616,7 @@ class CondSignal(_ObjectOp):
 class CondBroadcast(_ObjectOp):
     kind = "cond_broadcast"
     __slots__ = ()
-    conflicts = COND_KINDS
+    conflicts = WAIT_KINDS
 
     def apply(self, s):
         cond = s.objects[self.oid]

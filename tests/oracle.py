@@ -89,6 +89,7 @@ def brute_force(program, config=None, max_traces=2_000_000) -> BruteResult:
 
 @dataclass
 class StateGraph:
+    ctx: object                                  # the build context of the walk
     states: dict = field(default_factory=dict)   # state_key -> ModelState
     deadlock_fps: set = field(default_factory=set)
     final_fps: set = field(default_factory=set)
@@ -110,7 +111,7 @@ def reachable_states(program, config=None, max_states=500_000) -> StateGraph:
     """Every distinct reachable state, by depth-first walk memoized on
     `state_key` (each state expanded once, whatever path reached it)."""
     ctx, budget = _context(program, config)
-    graph = StateGraph()
+    graph = StateGraph(ctx)
 
     def rec(state):
         key = state_key(state)

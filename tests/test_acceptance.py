@@ -5,6 +5,7 @@ compare order-independent facts (verdict sets, state fingerprints, schedule
 properties) exactly, and counts only directionally.
 """
 
+import collections
 import itertools
 import re
 
@@ -15,12 +16,32 @@ from permute.cli import REPORT_KEYS, ReplayRepl, load_trace, main, verify_trace
 from permute.core import coenabled, dependent, fingerprint
 from permute.corpus import corpus_path, list_scenarios
 from permute.engine import BLOCKED, DEADLOCK, ExplorationConfig, explore
+from permute.runtime import execute_step
 from permute.scenario import instantiate, parse_scenario
+from test_engine import _joins_crashing_thread
 from test_golden_counts import CONFIGS as GOLDEN_CONFIGS
 
 
+# Scenarios of this suite's own, beside the corpus files.
+SCENARIOS = {
+    # Two waiters, two signallers and a broadcaster on one condition: the
+    # signals and the broadcast come before, between or after the waits,
+    # and a waiter that no wake reaches deadlocks.
+    "cond_signallers": """
+mutex m
+cond c
+thread w1 { lock m; cond_wait c m; unlock m; }
+thread w2 { lock m; cond_wait c m; unlock m; }
+thread s1 { cond_signal c; }
+thread s2 { cond_signal c; }
+thread b { cond_broadcast c; }
+""",
+}
+
+
 def program(name):
-    return instantiate(parse_scenario(corpus_path(name).read_text()))
+    text = SCENARIOS[name] if name in SCENARIOS else corpus_path(name).read_text()
+    return instantiate(parse_scenario(text))
 
 
 def run(name, observer=None, **kw):
@@ -333,12 +354,25 @@ AUDIT_CORPUS = [
     ("reader_two_writers", {}),
     ("rw_no_pref", {}),
     ("rw_reader_pref", {}),
+    ("reader_two_writers_cond", {"max_depth_per_thread": 8}),
 ]
+
+# Every wakeup policy a condition takes apart from arb_fused (arb_indep is
+# the default), each with and without a spurious wakeup.
+COND_CONFIGS = [{"max_spurious_wakeups": spurious,
+                 **({"policy_overrides": {"cond": policy}} if policy else {})}
+                for policy in (None, "arb_dep", "fifo", "lifo") for spurious in (0, 1)]
+AUDIT_CORPUS += [("cond_signallers", kw) for kw in COND_CONFIGS]
+
+# The kinds of commuting pair that some audited state must hold.
+WAKER_PAIRS = [("cond_signal", "cond_signal"), ("cond_broadcast", "cond_signal"),
+               ("cond_broadcast", "cond_broadcast")]
 
 
 def test_criterion_12_independent_pairs_commute(capsys):
     violations = []
     states_checked = pairs_checked = 0
+    kinds_checked = collections.Counter()
     for name, cfg_kw in AUDIT_CORPUS:
         config = ExplorationConfig(**cfg_kw)
         graph = reachable_states(program(name), config)
@@ -347,49 +381,119 @@ def test_criterion_12_independent_pairs_commute(capsys):
             enabled = state.enabled_threads(config.max_depth_per_thread)
             if len(enabled) < 2:
                 continue
-            pendings = [state.pending_of(tid) for tid in enabled]
-            for a, b in itertools.combinations(pendings, 2):
+            # Each pending transition with the state after it.
+            steps = [(t, t.apply_to(state)) for t in map(state.pending_of, enabled)]
+            for (a, after_a), (b, after_b) in itertools.combinations(steps, 2):
                 if dependent(a, b):
                     continue
                 pairs_checked += 1
-                ab = b.apply_to(a.apply_to(state))
-                ba = a.apply_to(b.apply_to(state))
-                if not b.enabled_in(a.apply_to(state)) or not a.enabled_in(b.apply_to(state)):
+                kinds_checked[tuple(sorted((a.kind, b.kind)))] += 1
+                if not b.enabled_in(after_a) or not a.enabled_in(after_b):
                     violations.append(f"{name}: {a} disables {b}")
                     continue
+                ab = b.apply_to(after_a)
+                ba = a.apply_to(after_b)
                 if fingerprint(ab) != fingerprint(ba):
                     violations.append(f"{name}: {a} / {b} do not commute")
                 elif ab.enabled_threads() != ba.enabled_threads():
                     violations.append(f"{name}: {a} / {b} enabled sets differ")
-    ok = not violations and pairs_checked > 0
+    unseen = [pair for pair in WAKER_PAIRS if not kinds_checked[pair]]
+    ok = not violations and not unseen
     with capsys.disabled():
         assert announce(12, "declared-independent pairs commute to equal states", ok,
                         "; ".join(violations[:3]) or
+                        (unseen and f"no audited pair of {unseen}") or
                         f"{pairs_checked} pairs over {states_checked} states")
+
+
+def test_signals_and_broadcasts_reach_the_oracle_states():
+    # Signals and broadcasts on one condition are claimed independent: the
+    # search must still end in every end state and deadlock state.
+    for kw in COND_CONFIGS:
+        _, deadlock_fps, final_fps, _ = run_collecting("cond_signallers", **kw)
+        oracle = reachable_states(program("cond_signallers"), ExplorationConfig(**kw))
+        assert deadlock_fps == oracle.deadlock_fps, kw
+        assert final_fps == oracle.final_fps, kw
 
 
 # -- 12b. co-enabledness audit -------------------------------------------------------------
 
-def test_criterion_12b_never_coenabled_pairs_are_never_enabled_together(capsys):
-    # A pair claimed never co-enabled adds no backtrack point, so the claim
-    # must hold in every reachable state: here, of every corpus file under
-    # the two configurations `golden_counts.json` pins, at depth 6.
-    violations = []
-    states_checked = pairs_checked = 0
+# Independent pairs where one step enables the other, known and not yet
+# mended: a reader's acquisition lets the next queued reader acquire, and
+# the last arrival at a barrier lets the others finish.
+ENABLING_EXCEPTIONS = {("rd_lock", "rd_lock"), ("arrive", "barrier_finish")}
+
+
+class _Walk:
+    """Counts and findings of the co-enabledness and enabling audits."""
+
+    def __init__(self):
+        self.states = self.coenabled_pairs = self.enabling_pairs = 0
+        self.violations = []    # a claim that fails, outside the exceptions
+        self.exceptions = []    # an `ENABLING_EXCEPTIONS` pair that fails
+
+    def audit(self, name, program, config):
+        graph = reachable_states(program, config)
+        budget = config.max_depth_per_thread
+        self.states += len(graph.states)
+        for state in graph.states.values():
+            live = state.live_threads(budget)
+            enabled = state.enabled_threads(live=live)
+            pendings = [state.pending_of(tid) for tid in enabled]
+            for a, b in itertools.combinations(pendings, 2):
+                self.coenabled_pairs += 1
+                if not coenabled(a, b):
+                    self.violations.append(f"{name}: {a} / {b} enabled together")
+            for ta in enabled:
+                a = state.pending_of(ta)
+                after = execute_step(state, ta, graph.ctx).state
+                for tb in live:
+                    b = state.pending_of(tb)
+                    if tb == ta or dependent(a, b):
+                        continue
+                    self.enabling_pairs += 1
+                    if (tb in enabled) != after.thread_enabled(tb, budget):
+                        verb = "disables" if tb in enabled else "enables"
+                        found = (self.exceptions if (a.kind, b.kind) in ENABLING_EXCEPTIONS
+                                 else self.violations)
+                        found.append(f"{name}: {a} {verb} {b}")
+
+
+@pytest.fixture(scope="module")
+def coenabledness_walk() -> _Walk:
+    # Every corpus file under the two configurations `golden_counts.json`
+    # pins, at depth 6, and a join that a create enables by crashing its
+    # thread at once.
+    walk = _Walk()
     for kw in GOLDEN_CONFIGS.values():
         config = ExplorationConfig(max_depth_per_thread=6, **kw)
         for name, path in list_scenarios():
-            graph = reachable_states(instantiate(parse_scenario(path.read_text())), config)
-            states_checked += len(graph.states)
-            for state in graph.states.values():
-                pendings = [state.pending_of(tid)
-                            for tid in state.enabled_threads(config.max_depth_per_thread)]
-                for a, b in itertools.combinations(pendings, 2):
-                    pairs_checked += 1
-                    if not coenabled(a, b):
-                        violations.append(f"{name}: {a} / {b} enabled together")
-    ok = not violations and pairs_checked > 0
+            walk.audit(name, instantiate(parse_scenario(path.read_text())), config)
+    walk.audit("joins_crashing_thread", _joins_crashing_thread(True), ExplorationConfig())
+    return walk
+
+
+def test_criterion_12b_never_coenabled_pairs_are_never_enabled_together(capsys,
+                                                                        coenabledness_walk):
+    # A pair claimed never co-enabled adds no backtrack point, and a pair
+    # claimed independent is never reordered, so each claim must hold in
+    # every reachable state: a never-co-enabled pair is never enabled
+    # together, and an independent step neither enables nor disables the
+    # other's.
+    walk = coenabledness_walk
+    ok = not walk.violations and walk.coenabled_pairs > 0 and walk.enabling_pairs > 0
     with capsys.disabled():
-        assert announce("12b", "never-co-enabled pairs are never enabled together", ok,
-                        "; ".join(violations[:3]) or
-                        f"{pairs_checked} pairs over {states_checked} states")
+        assert announce("12b", "never-co-enabled pairs are never enabled together, "
+                        "independent steps never enable or disable each other", ok,
+                        "; ".join(walk.violations[:3]) or
+                        f"{walk.coenabled_pairs} co-enabled and {walk.enabling_pairs} "
+                        f"independent pairs over {walk.states} states")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "two independence claims ignore enabling; see the CHANGES.md `FOUND:` "
+    "lines on `RWReaderLock` (a reader's rd_lock enables the next queued "
+    "reader's) and `BarrierArrive` (the last arrive enables the others' "
+    "barrier_finish)"))
+def test_independent_steps_never_enable_each_other(coenabledness_walk):
+    assert coenabledness_walk.exceptions == []

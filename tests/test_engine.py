@@ -19,6 +19,7 @@ from permute.core import (
     dependent,
     exact_key,
     fingerprint,
+    thread_related,
 )
 from permute import engine, runtime
 from permute import primitives as prim
@@ -875,7 +876,7 @@ def test_step_clocks_equal_the_textbook_merge(monkeypatch):
     # merges only the clocks of its scan plan's candidates; the textbook
     # clock merges the clock of every dependent earlier step.  They must be
     # equal for every step of the corpus and of programs whose workers
-    # create, join and are joined.
+    # create, join and are joined, or join a thread another thread creates.
     step_clock = engine._Search._step_clock
     clocks = []
 
@@ -888,7 +889,8 @@ def test_step_clocks_equal_the_textbook_merge(monkeypatch):
     monkeypatch.setattr(engine._Search, "_step_clock", audited)
     programs = [lambda path=path: instantiate(parse_scenario(path.read_text()))
                 for _, path in list_scenarios()]
-    programs += [_worker_joins_its_child, _two_joiners, _join_then_read]
+    programs += [_worker_joins_its_child, _two_joiners, _join_then_read,
+                 lambda: _joins_crashing_thread(True), lambda: _joins_crashing_thread(False)]
     for program in programs:
         for kw in AUDIT_CONFIGS:
             explore(program(), ExplorationConfig(max_depth_per_thread=4, **kw))
@@ -1162,8 +1164,7 @@ def test_footprints_cover_every_dependence_in_the_corpus():
                     continue
                 fa, fb = a.footprint(), b.footprint()
                 assert (fa is None or fb is None or a.executor == b.executor
-                        or a.thread_target == b.executor or b.thread_target == a.executor
-                        or set(fa) & set(fb)), f"{name} {kw}: {a} / {b}"
+                        or thread_related(a, b) or set(fa) & set(fb)), f"{name} {kw}: {a} / {b}"
     assert pairs > 1000
 
 
