@@ -269,9 +269,7 @@ class Transition(metaclass=_TransitionType):
         rest of `s` is shared with the pre-state.  That includes the
         shared-variable and spurious-wakeup tables, so a step that writes
         one replaces it with a new dict (`s.shared_vars = {...}`) and never
-        mutates it.  It may read only `s` and this transition: the search
-        reuses a step's successor for every state equal to its pre-state
-        (`engine.SuccessorMemo`)."""
+        mutates it.  It reads by the footprint's read rule (`footprint`)."""
 
     # -- optional hooks ----------------------------------------------------
 
@@ -307,8 +305,13 @@ class Transition(metaclass=_TransitionType):
         objects listed here.  A pending transition is re-tested for
         enabledness only after a step that shares a key with it (or copies
         its `thread_target`'s entry), so `enabled_in` may read no other
-        object.  None is the wildcard: the step is tested against everything,
-        copies everything and re-tests everyone, which is always sound.
+        object.  The read rule: `apply`, `result_in`, `usage_error` and
+        `assertion_failure` read only the objects, variables and spurious
+        counts the footprint names, and the executor's and `thread_target`'s
+        entries, so a step that reads what another read does what it did
+        (`engine.SuccessorMemo`).  None is the wildcard: the step is tested
+        against everything, copies everything, re-tests everyone and may
+        read anything, which is always sound.
 
         Called once, by `seal`; the search reads the stored `keys`.
         """

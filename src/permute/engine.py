@@ -65,14 +65,15 @@ The work per step follows what the step changed:
   generator: every state the search makes is keyed by its content, and
   `SuccessorMemo` keeps the outcome of the newest `SUCCESSOR_MEMO_BOUND`
   steps by the key of their pre-state and the thread that moved; a repeat
-  takes the recorded successor instead of executing the step.  The bound
-  keeps the search's memory bounded, as a stateless search's is.  This is
-  not visited-state pruning, which would need the treatment of Yang et al.
-  (SPIN 2008) to stay sound with sleep sets: every frame is still explored
-  with its own backtrack and sleep sets, as in Flanagan and Godefroid
-  (POPL 2005), and only the computing of its state is skipped.  The keyed
-  states are hash-consed, so on them the identity tests above on thread
-  entries are content tests.
+  takes the recorded successor instead of executing the step, and another
+  step that reads what a recent one read (`Transition.footprint`) takes
+  its recorded effect.  The bound keeps the search's memory bounded, as a
+  stateless search's is.  This is not visited-state pruning, which would
+  need the treatment of Yang et al. (SPIN 2008) to stay sound with sleep
+  sets: every frame is still explored with its own backtrack and sleep
+  sets, as in Flanagan and Godefroid (POPL 2005), and only the computing
+  of its state is skipped.  The keyed states are hash-consed, so on them
+  the identity tests above on thread entries are content tests.
 - A repeated step also reuses the set-up of the frame it leads to: the
   memo's entry for the step keeps that frame's record, which holds the
   races of the newest-step tests, not the points they made; a repeat hands
@@ -104,7 +105,8 @@ from .core import (
     fingerprint,
 )
 from .primitives import DEFAULT_POLICY, POLICIES
-from .runtime import BuildContext, Program, execute_step, initial_state, schedule_step
+from .runtime import (BuildContext, Program, StepOutcome, execute_step, initial_state,
+                      schedule_step)
 
 # Trace verdicts.
 COMPLETED = "completed"
@@ -405,19 +407,21 @@ def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
 
 
 # The most entries each table of a search's successor memo keeps: steps,
-# parts of each kind, and fingerprints.  A full memo holds about 1.3 KB per
-# step (the successor, the keys and the parts they hold, by tracemalloc on
-# reader_two_writers_cond at depth 16), while the rest of a search's memory
-# follows its depth; with a bound, the memo adds a fixed amount, whatever
-# the size of the state space.  Repeats come mostly from recent states, so
-# the newest steps are the ones kept.  Every distinct step of the corpus's
-# short checks fits (at most 376, sem_wakeup_order under lifo).
+# effects, parts of each kind, and fingerprints.  A full memo holds about
+# 1.3 KB per step (the successor, the keys and the parts they hold, by
+# tracemalloc on reader_two_writers_cond at depth 16), while the rest of a
+# search's memory follows its depth; with a bound, the memo adds a fixed
+# amount, whatever the size of the state space.  Repeats come mostly from
+# recent states, so the newest steps are the ones kept.  Every distinct
+# step of the corpus's short checks fits (at most 376, sem_wakeup_order
+# under lifo).
 SUCCESSOR_MEMO_BOUND = 512
 
 
 class SuccessorMemo:
     """The outcome of each step one search took lately, by the key of its
-    pre-state and the thread that moved.
+    pre-state and the thread that moved, and what each step did, by what
+    it read.
 
     Stateless search reaches the same state along many schedules and runs
     the same steps from it each time.  When every thread is compiled, a step
@@ -440,8 +444,16 @@ class SuccessorMemo:
     thread entries (`_Search._init_frame`) stay exact content tests when a
     recorded successor was first reached from another parent.  A successor
     is keyed from its parent's parts: only the parts that are not the
-    parent's -- the ones its step copied, and the objects the bodies it
-    resumed created -- are keyed anew.
+    parent's are keyed anew.
+
+    A step reads only what the read rule of `Transition.footprint` names,
+    and the bodies it resumes create the missing objects their next
+    transitions name.  So the memo also keeps each step's effect -- the
+    parts it may write, and its findings -- by what it reads: its executor's
+    and target's entries, the existing object ids, and each footprint key's
+    object, variable (`exact_key`) and spurious count.  A step missing from
+    the step map takes the effect it reads, if any, on copies of its
+    pre-state's tables; a wildcard step runs.
 
     A keyed part is never mutated: `ModelState.successor` copies every part
     a step writes before `Transition.apply` runs, as the replay audit
@@ -452,16 +464,17 @@ class SuccessorMemo:
     A step's entry also holds the record of the frame it leads to, filled
     in when the search first sets that frame up (`_Search._init_frame`).
 
-    Each table holds at most `SUCCESSOR_MEMO_BOUND` entries: a full step map
-    drops its oldest step, and a full part or fingerprint table starts
-    afresh.
+    Each table holds at most `SUCCESSOR_MEMO_BOUND` entries: a full step or
+    effect map drops its oldest entry, and a full part or fingerprint table
+    starts afresh.
     """
 
-    __slots__ = ("steps", "fingerprints", "objects", "threads")
+    __slots__ = ("steps", "effects", "fingerprints", "objects", "threads")
 
     def __init__(self):
         # (state key, thread) -> [StepOutcome, successor key, frame record or None]
         self.steps: dict = {}
+        self.effects: dict = {}        # `_reads` of a step -> `_effect` of it
         self.fingerprints: dict = {}   # state key -> fingerprint
         # Content key -> the part with that content, one table per kind.
         self.objects: dict = {}
@@ -471,20 +484,26 @@ class SuccessorMemo:
              ctx: BuildContext) -> list:
         """The entry [`execute_step(state, tid, ctx)`, the key of its state,
         the record of the frame it leads to], run once per recent step from
-        a state with `key`.  A state without a key has successors without
-        one."""
+        a state with `key`, or served the effect of a step that read what it
+        reads.  A state without a key has successors without one."""
         if key is None:
             return [execute_step(state, tid, ctx), None, None]
         edge = key, tid
         steps = self.steps
         known = steps.get(edge)
         if known is None:
-            outcome = execute_step(state, tid, ctx)
-            known = [outcome, self.key(outcome.state, state, key), None]
+            # A keyed state holds only hashable values, so its reads hash.
+            reads = _reads(state, tid)
+            effect = None if reads is None else self.effects.get(reads)
+            if effect is None:
+                outcome = execute_step(state, tid, ctx)
+                known = [outcome, self.key(outcome.state, state, key), None]
+                if reads is not None and known[1] is not None:
+                    _keep(self.effects, reads, _effect(state, outcome))
+            else:
+                known = _served(state, key, tid, effect)
             if known[1] is not None:
-                steps[edge] = known
-                if len(steps) > SUCCESSOR_MEMO_BOUND:
-                    del steps[next(iter(steps))]
+                _keep(steps, edge, known)
         return known
 
     def fingerprint(self, state: ModelState, key: Optional[tuple]) -> str:
@@ -507,10 +526,8 @@ class SuccessorMemo:
         its content the memo knows; a part new to the memo joins it."""
         objects, threads = s.objects, s.threads
         parent_objects = parent_threads = {}
-        variables = spurious = None
         if parent is not None:
             parent_objects, parent_threads = parent.objects, parent.threads
-            _, _, variables, spurious = parent_key
         try:
             for oid, obj in objects.items():
                 if obj is not parent_objects.get(oid):
@@ -519,15 +536,22 @@ class SuccessorMemo:
                 if info is not parent_threads.get(tid):
                     content = (info.status, info.pending, info.executed, id(info.body_state))
                     threads[tid] = _part(self.threads, content, info)
-            if parent is None or s.shared_vars is not parent.shared_vars:
-                variables = _table_key(s.shared_vars)
-            if parent is None or s.spurious_used is not parent.spurious_used:
-                spurious = _table_key(s.spurious_used)
+            return _state_key(s, parent, parent_key)
         except TypeError:   # an unhashable value
             return None
-        if len(objects) != len(parent_objects):
-            s.objects = objects = dict(sorted(objects.items()))   # keys follow oid order
-        return tuple(objects.values()), tuple(threads.values()), variables, spurious
+
+
+def _state_key(s: ModelState, parent: Optional[ModelState], parent_key: Optional[tuple]) -> tuple:
+    """`SuccessorMemo.key` of `s`, whose objects and thread entries are
+    parts; a table shared with the parent keeps its key."""
+    if parent is None or len(s.objects) != len(parent.objects):
+        s.objects = dict(sorted(s.objects.items()))   # keys follow oid order
+    shared = parent is not None
+    variables = (parent_key[2] if shared and s.shared_vars is parent.shared_vars
+                 else _table_key(s.shared_vars))
+    spurious = (parent_key[3] if shared and s.spurious_used is parent.spurious_used
+                else _table_key(s.spurious_used))
+    return tuple(s.objects.values()), tuple(s.threads.values()), variables, spurious
 
 
 def _part(table: dict, content, part):
@@ -537,6 +561,57 @@ def _part(table: dict, content, part):
     if len(table) > SUCCESSOR_MEMO_BOUND:
         table.clear()
     return part
+
+
+def _keep(table: dict, key, value) -> None:
+    """Add an entry to a map that drops its oldest one past the bound."""
+    table[key] = value
+    if len(table) > SUCCESSOR_MEMO_BOUND:
+        del table[next(iter(table))]
+
+
+def _reads(state: ModelState, tid: ThreadId) -> Optional[tuple]:
+    """What the step of `tid` from `state`, a keyed state, reads: the key
+    of its effect.  None for a wildcard step."""
+    threads = state.threads
+    info = threads[tid]
+    keys = info.pending.keys
+    if keys is None:
+        return None
+    objects, variables, spurious = state.objects, state.shared_vars, state.spurious_used
+    return (info, threads.get(info.pending.thread_target), tuple(objects),
+            tuple([(objects.get(k), exact_key(variables.get(k)), spurious.get(k))
+                   for k in keys]))
+
+
+def _effect(pre: ModelState, outcome: StepOutcome) -> tuple:
+    """What a step did from `pre`: the objects its footprint names or its
+    bodies created, its executor's and target's entries, its variable and
+    spurious entries (None for a table it shares), and its findings."""
+    t, post = outcome.transition, outcome.state
+    keys, pre_objects, objects = t.keys, pre.objects, post.objects
+    written = {k: objects[k] for k in keys if k in objects}
+    if len(objects) != len(pre_objects):
+        written.update((oid, obj) for oid, obj in objects.items() if oid not in pre_objects)
+    threads = {tid: post.threads[tid] for tid in (t.executor, t.thread_target)
+               if tid in post.threads}
+    return (written, threads, _entries(pre.shared_vars, post.shared_vars, keys),
+            _entries(pre.spurious_used, post.spurious_used, keys), outcome.findings)
+
+
+def _entries(before: dict, after: dict, keys: tuple) -> Optional[dict]:
+    return None if after is before else {k: after[k] for k in keys if k in after}
+
+
+def _served(state: ModelState, key: tuple, tid: ThreadId, effect: tuple) -> list:
+    """The entry of the step of `tid` from `state`, whose key is `key`, made
+    by installing the `effect` a step that read the same left."""
+    objects, threads, variables, spurious, findings = effect
+    s = ModelState({**state.objects, **objects}, {**state.threads, **threads},
+                   state.shared_vars if variables is None else {**state.shared_vars, **variables},
+                   state.spurious_used if spurious is None
+                   else {**state.spurious_used, **spurious})
+    return [StepOutcome(s, state.threads[tid].pending, findings), _state_key(s, state, key), None]
 
 
 def _table_key(table: dict) -> tuple:

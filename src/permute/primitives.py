@@ -758,14 +758,12 @@ class RWWLockObj(RWLockObj):
 
 
 class _RWTransition(_ObjectOp):
-    """Common dependence rule: everything on the same lock conflicts, except
-    two reader acquisitions, which share."""
+    """Common dependence rule: everything on the same lock conflicts, two
+    reader acquisitions too, since one lets the next queued reader acquire."""
 
     __slots__ = ()
 
     def depends_with(self, other):
-        if self.kind == "rd_lock" and other.kind == "rd_lock":
-            return False
         return other.kind in RW_KINDS and self.same_object(other)
 
 

@@ -419,9 +419,8 @@ def test_signals_and_broadcasts_reach_the_oracle_states():
 # -- 12b. co-enabledness audit -------------------------------------------------------------
 
 # Independent pairs where one step enables the other, known and not yet
-# mended: a reader's acquisition lets the next queued reader acquire, and
-# the last arrival at a barrier lets the others finish.
-ENABLING_EXCEPTIONS = {("rd_lock", "rd_lock"), ("arrive", "barrier_finish")}
+# mended: the last arrival at a barrier lets the others finish.
+ENABLING_EXCEPTIONS = {("arrive", "barrier_finish")}
 
 
 class _Walk:
@@ -491,9 +490,8 @@ def test_criterion_12b_never_coenabled_pairs_are_never_enabled_together(capsys,
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "two independence claims ignore enabling; see the CHANGES.md `FOUND:` "
-    "lines on `RWReaderLock` (a reader's rd_lock enables the next queued "
-    "reader's) and `BarrierArrive` (the last arrive enables the others' "
+    "an independence claim ignores enabling; see the CHANGES.md `FOUND:` "
+    "line on `BarrierArrive` (the last arrive enables the others' "
     "barrier_finish)"))
 def test_independent_steps_never_enable_each_other(coenabledness_walk):
     assert coenabledness_walk.exceptions == []

@@ -115,9 +115,10 @@ def test_spec_relation_examples():
     post2 = prim.SemPost(2, 0, "s")
     assert not dependent(post1, post2)
 
+    # One reader's acquisition lets the next queued reader acquire.
     rd1 = prim.RWReaderLock(1, 0, "l")
     rd2 = prim.RWReaderLock(2, 0, "l")
-    assert not dependent(rd1, rd2)
+    assert dependent(rd1, rd2)
 
     lock_a = prim.MutexLock(1, 0, "m")
     lock_a_again = prim.MutexLock(1, 0, "m")

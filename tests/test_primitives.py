@@ -284,7 +284,7 @@ def test_rw_relations():
     wr = prim.RWWriterLock(2, 0, "l", "w")
     rd2 = prim.RWReaderLock(2, 0, "l")
     from permute.core import coenabled, dependent
-    assert not dependent(rd, rd2)
+    assert dependent(rd, rd2)   # only the head of the reader queue may acquire
     assert dependent(rd, wr)
     assert not coenabled(rd, wr)
     assert not dependent(rd, prim.RWReaderLock(2, 9, "l2"))
