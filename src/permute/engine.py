@@ -49,7 +49,13 @@ The work per step follows what the step changed:
   scanned by an ancestor frame, and its race key is already seen.  It pairs
   only the accesses to the variables of such new accesses.
 - The clock merge walks its candidates newest first and skips a step its
-  accumulating clock already covers.
+  accumulating clock already covers, and merges into one dict.
+- A frame holds only what the search reads back: the pre-state and its key,
+  the memo entry of the step into it, the backtrack, done and sleep sets,
+  the thread clocks, and the live and enabled threads its set-up gives it.
+  One loop (`_Search.run`) sets a new frame up and runs its seed, the first
+  enabled thread not asleep, without a `select_next`; steps; and pops a
+  frame whose backtrack set is spent.
 - Each compiled body step runs once per build context: `BuildContext.resume`
   memoizes a compiled thread's step by the step it resumes past, its body
   state and the result, and a repeat installs the recorded body state and
@@ -67,8 +73,11 @@ The work per step follows what the step changed:
   steps by the key of their pre-state and the thread that moved; a repeat
   takes the recorded successor instead of executing the step, and another
   step that reads what a recent one read (`Transition.footprint`) takes
-  its recorded effect.  The bound keeps the search's memory bounded, as a
-  stateless search's is.  This is not visited-state pruning, which would
+  its recorded effect.  A step that runs records its effect, keying the
+  parts it copied as it takes them, and is installed from it like a served
+  one: a successor that is not a repeat is built and keyed in one pass,
+  from its parent's key and the effect's parts.  The bound keeps the
+  search's memory bounded, as a stateless search's is.  This is not visited-state pruning, which would
   need the treatment of Yang et al. (SPIN 2008) to stay sound with sleep
   sets: every frame is still explored with its own backtrack and sleep
   sets, as in Flanagan and Godefroid (POPL 2005), and only the computing
@@ -218,23 +227,23 @@ class TraceResult(Record):
 
 
 class StackEntry:
-    """One depth-first-search frame."""
+    """One depth-first-search frame.  Its `live` threads (those with a next
+    step) and `enabled` ones (the live ones that can take it), both in id
+    order, are set when the search sets the frame up
+    (`_Search._init_frame`)."""
 
     __slots__ = ("pre_state", "key", "edge", "live", "enabled", "backtrack", "done",
-                 "sleep", "thread_clocks", "initialized")
+                 "sleep", "thread_clocks")
 
     def __init__(self, pre_state: ModelState, sleep: dict, thread_clocks: dict,
                  key: Optional[tuple] = None, edge: Optional[list] = None):
         self.pre_state = pre_state
         self.key = key                      # the pre-state's `SuccessorMemo` key, if any
         self.edge = edge                    # the memo's entry for the step into this frame
-        self.live: list = []                # threads with a next step, in id order
-        self.enabled: list = []             # the live ones that can take it, in id order
         self.backtrack: set = set()
         self.done: set = set()
         self.sleep = sleep                  # triple -> Transition
         self.thread_clocks = thread_clocks  # tid -> clock of its last step
-        self.initialized = False
 
 
 def select_next(entry: StackEntry) -> Optional[ThreadId]:
@@ -397,13 +406,14 @@ def classify_endstate(state: ModelState, config: ExplorationConfig) -> str:
     would still have done, so an end state is a deadlock only when no live
     thread was artificially disabled by the budget.
     """
-    live = [tid for tid, ti in state.threads.items() if ti.status == RUNNABLE]
-    if not live:
-        return COMPLETED
     budget = config.max_depth_per_thread
-    if budget is not None and any(state.threads[tid].executed >= budget for tid in live):
-        return BUDGET_EXHAUSTED
-    return DEADLOCK
+    verdict = COMPLETED
+    for info in state.threads.values():
+        if info.status == RUNNABLE:
+            if budget is not None and info.executed >= budget:
+                return BUDGET_EXHAUSTED
+            verdict = DEADLOCK
+    return verdict
 
 
 # The most entries each table of a search's successor memo keeps: steps,
@@ -453,7 +463,11 @@ class SuccessorMemo:
     and target's entries, the existing object ids, and each footprint key's
     object, variable (`exact_key`) and spurious count.  A step missing from
     the step map takes the effect it reads, if any, on copies of its
-    pre-state's tables; a wildcard step runs.
+    pre-state's tables; else it runs, and its effect is recorded, with the
+    parts it copied keyed as they are taken, and installed the same way.
+    Either way the successor's key is made as the effect is installed, from
+    the parent's key.  A wildcard step runs, and its successor is keyed part
+    by part (`key`).
 
     A keyed part is never mutated: `ModelState.successor` copies every part
     a step writes before `Transition.apply` runs, as the replay audit
@@ -474,7 +488,7 @@ class SuccessorMemo:
     def __init__(self):
         # (state key, thread) -> [StepOutcome, successor key, frame record or None]
         self.steps: dict = {}
-        self.effects: dict = {}        # `_reads` of a step -> `_effect` of it
+        self.effects: dict = {}        # what a step reads -> `_effect` of it
         self.fingerprints: dict = {}   # state key -> fingerprint
         # Content key -> the part with that content, one table per kind.
         self.objects: dict = {}
@@ -489,21 +503,37 @@ class SuccessorMemo:
         if key is None:
             return [execute_step(state, tid, ctx), None, None]
         edge = key, tid
-        steps = self.steps
-        known = steps.get(edge)
-        if known is None:
-            # A keyed state holds only hashable values, so its reads hash.
-            reads = _reads(state, tid)
-            effect = None if reads is None else self.effects.get(reads)
+        known = self.steps.get(edge)
+        if known is not None:
+            return known
+        threads = state.threads
+        info = threads[tid]
+        t = info.pending
+        keys = t.keys
+        if keys is None:
+            # A wildcard step may read anything: it runs, and its successor
+            # is keyed part by part.
+            outcome = execute_step(state, tid, ctx)
+            known = [outcome, self.key(outcome.state, state, key), None]
+        else:
+            # What the step reads: its executor's and target's entries, the
+            # existing object ids (its bodies create the missing objects),
+            # and each footprint key's object, variable and spurious count.
+            # A keyed state holds only hashable values, so they hash.
+            objects, variables, spurious = state.objects, state.shared_vars, state.spurious_used
+            reads = (info, threads.get(t.thread_target), tuple(objects),
+                     tuple([(objects.get(k), exact_key(variables.get(k)), spurious.get(k))
+                            for k in keys]))
+            effect = self.effects.get(reads)
             if effect is None:
                 outcome = execute_step(state, tid, ctx)
-                known = [outcome, self.key(outcome.state, state, key), None]
-                if reads is not None and known[1] is not None:
-                    _keep(self.effects, reads, _effect(state, outcome))
-            else:
-                known = _served(state, key, tid, effect)
-            if known[1] is not None:
-                _keep(steps, edge, known)
+                effect = self._effect(state, outcome)
+                if effect is None:   # an unhashable value
+                    return [outcome, None, None]
+                _keep(self.effects, reads, effect)
+            known = _served(state, key, t, effect)
+        if known[1] is not None:
+            _keep(self.steps, edge, known)
         return known
 
     def fingerprint(self, state: ModelState, key: Optional[tuple]) -> str:
@@ -523,7 +553,8 @@ class SuccessorMemo:
         """The key of `s`, a root or a successor of `parent`, whose key is
         `parent_key`; None when a value cannot be hashed.  Each object and
         thread entry that is not the parent's is swapped for the part with
-        its content the memo knows; a part new to the memo joins it."""
+        its content the memo knows; a part new to the memo joins it.  A
+        table shared with the parent keeps its key."""
         objects, threads = s.objects, s.threads
         parent_objects = parent_threads = {}
         if parent is not None:
@@ -534,24 +565,56 @@ class SuccessorMemo:
                     objects[oid] = _part(self.objects, obj.content_key(), obj)
             for tid, info in threads.items():
                 if info is not parent_threads.get(tid):
-                    content = (info.status, info.pending, info.executed, id(info.body_state))
-                    threads[tid] = _part(self.threads, content, info)
-            return _state_key(s, parent, parent_key)
+                    threads[tid] = self._thread_part(info)
+            if parent is None or len(objects) != len(parent_objects):
+                s.objects = dict(sorted(objects.items()))   # keys follow oid order
+            shared = parent is not None
+            variables = (parent_key[2] if shared and s.shared_vars is parent.shared_vars
+                         else _table_key(s.shared_vars))
+            spurious = (parent_key[3] if shared and s.spurious_used is parent.spurious_used
+                        else _table_key(s.spurious_used))
         except TypeError:   # an unhashable value
             return None
+        return tuple(s.objects.values()), tuple(threads.values()), variables, spurious
 
+    def _thread_part(self, info):
+        """The thread entry with `info`'s content that the memo knows."""
+        return _part(self.threads, (info.status, info.pending, info.executed, id(info.body_state)),
+                     info)
 
-def _state_key(s: ModelState, parent: Optional[ModelState], parent_key: Optional[tuple]) -> tuple:
-    """`SuccessorMemo.key` of `s`, whose objects and thread entries are
-    parts; a table shared with the parent keeps its key."""
-    if parent is None or len(s.objects) != len(parent.objects):
-        s.objects = dict(sorted(s.objects.items()))   # keys follow oid order
-    shared = parent is not None
-    variables = (parent_key[2] if shared and s.shared_vars is parent.shared_vars
-                 else _table_key(s.shared_vars))
-    spurious = (parent_key[3] if shared and s.spurious_used is parent.spurious_used
-                else _table_key(s.spurious_used))
-    return tuple(s.objects.values()), tuple(s.threads.values()), variables, spurious
+    def _effect(self, pre: ModelState, outcome: StepOutcome) -> Optional[tuple]:
+        """What a step did from `pre`, made of the memo's parts as it is
+        taken: the objects its footprint names or its bodies created, its
+        executor's and target's entries, the variable entries it wrote (None
+        for a table it shares) with the names of the table it left and the
+        key of each entry by its position there, its spurious entries (None
+        likewise), and its findings; None when a value cannot be hashed.
+        The positions serve a state whose table has those names in that
+        order, as every state of a search has when its steps write only
+        declared variables."""
+        t, post = outcome.transition, outcome.state
+        keys, objects = t.keys, post.objects
+        try:
+            written = {oid: _part(self.objects, objects[oid].content_key(), objects[oid])
+                       for oid in keys if oid in objects}
+            if len(objects) != len(pre.objects):
+                written.update((oid, _part(self.objects, obj.content_key(), obj))
+                               for oid, obj in objects.items() if oid not in pre.objects)
+            threads = {tid: self._thread_part(post.threads[tid])
+                       for tid in (t.executor, t.thread_target) if tid in post.threads}
+            variables = None
+            if post.shared_vars is not pre.shared_vars:
+                entries = {k: post.shared_vars[k] for k in keys if k in post.shared_vars}
+                names = tuple(post.shared_vars)
+                placed = tuple((names.index(name), (name, exact_key(value)))
+                               for name, value in entries.items())
+                hash(placed)
+                variables = entries, names, placed
+        except TypeError:
+            return None
+        spurious = (None if post.spurious_used is pre.spurious_used
+                    else {k: post.spurious_used[k] for k in keys if k in post.spurious_used})
+        return written, threads, variables, spurious, outcome.findings
 
 
 def _part(table: dict, content, part):
@@ -570,48 +633,33 @@ def _keep(table: dict, key, value) -> None:
         del table[next(iter(table))]
 
 
-def _reads(state: ModelState, tid: ThreadId) -> Optional[tuple]:
-    """What the step of `tid` from `state`, a keyed state, reads: the key
-    of its effect.  None for a wildcard step."""
-    threads = state.threads
-    info = threads[tid]
-    keys = info.pending.keys
-    if keys is None:
-        return None
-    objects, variables, spurious = state.objects, state.shared_vars, state.spurious_used
-    return (info, threads.get(info.pending.thread_target), tuple(objects),
-            tuple([(objects.get(k), exact_key(variables.get(k)), spurious.get(k))
-                   for k in keys]))
-
-
-def _effect(pre: ModelState, outcome: StepOutcome) -> tuple:
-    """What a step did from `pre`: the objects its footprint names or its
-    bodies created, its executor's and target's entries, its variable and
-    spurious entries (None for a table it shares), and its findings."""
-    t, post = outcome.transition, outcome.state
-    keys, pre_objects, objects = t.keys, pre.objects, post.objects
-    written = {k: objects[k] for k in keys if k in objects}
-    if len(objects) != len(pre_objects):
-        written.update((oid, obj) for oid, obj in objects.items() if oid not in pre_objects)
-    threads = {tid: post.threads[tid] for tid in (t.executor, t.thread_target)
-               if tid in post.threads}
-    return (written, threads, _entries(pre.shared_vars, post.shared_vars, keys),
-            _entries(pre.spurious_used, post.spurious_used, keys), outcome.findings)
-
-
-def _entries(before: dict, after: dict, keys: tuple) -> Optional[dict]:
-    return None if after is before else {k: after[k] for k in keys if k in after}
-
-
-def _served(state: ModelState, key: tuple, tid: ThreadId, effect: tuple) -> list:
-    """The entry of the step of `tid` from `state`, whose key is `key`, made
-    by installing the `effect` a step that read the same left."""
+def _served(state: ModelState, key: tuple, t: Transition, effect: tuple) -> list:
+    """The entry of step `t` from `state`, whose key is `key`, made by
+    installing the `effect` of a step that read the same; its key is made
+    in the same pass, from `key` and the installed parts and entries."""
     objects, threads, variables, spurious, findings = effect
-    s = ModelState({**state.objects, **objects}, {**state.threads, **threads},
-                   state.shared_vars if variables is None else {**state.shared_vars, **variables},
-                   state.spurious_used if spurious is None
-                   else {**state.spurious_used, **spurious})
-    return [StepOutcome(s, state.threads[tid].pending, findings), _state_key(s, state, key), None]
+    installed = {**state.objects, **objects}
+    if len(installed) != len(state.objects):
+        installed = dict(sorted(installed.items()))   # keys follow oid order
+    s = ModelState(installed, {**state.threads, **threads}, state.shared_vars,
+                   state.spurious_used)
+    variables_key, spurious_key = key[2], key[3]
+    if variables is not None:
+        entries, names, placed = variables
+        s.shared_vars = {**state.shared_vars, **entries}
+        if names == tuple(state.shared_vars):
+            variables_key = list(variables_key)
+            for position, entry in placed:
+                variables_key[position] = entry
+            variables_key = tuple(variables_key)
+        else:
+            variables_key = _table_key(s.shared_vars)
+    if spurious is not None:
+        s.spurious_used = {**state.spurious_used, **spurious}
+        spurious_key = _table_key(s.spurious_used)
+    return [StepOutcome(s, t, findings),
+            (tuple(installed.values()), tuple(s.threads.values()), variables_key, spurious_key),
+            None]
 
 
 def _table_key(table: dict) -> tuple:
@@ -714,8 +762,9 @@ class _Search:
             if not variables:
                 return
         accesses = {}
+        threads = frame.pre_state.threads
         for tid in frame.enabled:
-            pending = frame.pre_state.pending_of(tid)
+            pending = threads[tid].pending
             if pending.kind in ("read", "write") and (
                     variables is None or pending.object_name in variables):
                 accesses.setdefault(pending.object_name, []).append((tid, pending.kind))
@@ -805,9 +854,8 @@ class _Search:
             live, enabled, racing, rescanned, new_accesses = [], [], [], [], []
             # Every thread of the program is in the table from the initial
             # state on, in id order, and successors keep that order.
-            for tid, info in threads.items():
+            for (tid, info), parent_info in zip(threads.items(), parent_threads.values()):
                 pending = info.pending
-                parent_info = parent_threads[tid]
                 if info is parent_info:
                     if tid not in parent_live:
                         continue
@@ -861,14 +909,14 @@ class _Search:
         """Clock vector of step `t` from `frame`: its thread's clock, merged
         with the clock of the thread it creates or joins and with the clocks
         of the earlier steps it depends on through a claim, then its own
-        entry.
+        entry, all merged into one dict.
 
         The thread clocks order the steps the framework rule relates to `t`
         (`core.dependent`).  Its thread's clock covers the thread's own steps
-        and the create that started it (`_execute` seeds it).  A joined
-        thread's clock covers every step of that thread and its create, and
-        no step of a thread follows a join of it, which is enabled only once
-        the thread has exited.  A create's target has no clock yet.  A join
+        and the create that started it (`run` seeds it).  A joined thread's
+        clock covers every step of that thread and its create, and no step
+        of a thread follows a join of it, which is enabled only once the
+        thread has exited.  A create's target has no clock yet.  A join
         seeds no clock: two joins of one thread are independent.
 
         The candidates of `t`'s scan plan are walked newest first, and a
@@ -876,91 +924,96 @@ class _Search:
         skipped: its clock is already below the accumulated one, so merging
         it changes nothing."""
         clocks = frame.thread_clocks
-        clock = clocks.get(t.executor, EMPTY_CLOCK)
+        executor = t.executor
+        entries = dict(clocks.get(executor, EMPTY_CLOCK).entries)
+        get = entries.get
         if t.thread_target is not None:
-            clock = clock.merged(clocks.get(t.thread_target, EMPTY_CLOCK))
+            for tid, k in clocks.get(t.thread_target, EMPTY_CLOCK).entries.items():
+                if k > get(tid, 0):
+                    entries[tid] = k
         trace, step_clocks = self.trace, self.step_clocks
         for positions in self.index.plan(t)[1]:
             for j in reversed(positions):
                 prior = trace[j]
-                if clock.entries.get(prior.executor, 0) > j:
+                if get(prior.executor, 0) > j:
                     continue
                 if pair_relations(prior, t)[0]:
-                    clock = clock.merged(step_clocks[j])
-        return clock.with_entry(t.executor, len(trace) + 1)
+                    for tid, k in step_clocks[j].entries.items():
+                        if k > get(tid, 0):
+                            entries[tid] = k
+        entries[executor] = len(trace) + 1
+        return ClockVector(entries)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ExplorationReport:
-        config = self.config
-        while self.stack and not self.stop:
-            frame = self.stack[-1]
-            if not frame.initialized:
-                frame.initialized = True
-                self._init_frame(frame)
-                if not frame.enabled:
-                    self._end_trace(frame, classify_endstate(frame.pre_state, config))
-                    self._pop()
-                    continue
-                seed = None
-                for tid in frame.enabled:
-                    if frame.pre_state.pending_of(tid).sleep_key not in frame.sleep:
-                        seed = tid
-                        break
-                if seed is None:
-                    self._end_trace(frame, BLOCKED)
-                    self._pop()
-                    continue
-                frame.backtrack.add(seed)
-
-            tid = select_next(frame)
+        """The depth-first search.  A new frame is set up, and ends its trace
+        when no enabled thread is awake there; otherwise the first such
+        thread is its seed, the first thread it runs.  A frame whose
+        backtrack set holds no thread left to run (`select_next`) is popped,
+        and the step into it joins its parent's sleep set."""
+        stack, trace, step_clocks, index = self.stack, self.trace, self.step_clocks, self.index
+        config, ctx, memo_step = self.config, self.ctx, self.memo.step
+        sleep_sets, stop_at_failure = config.sleep_sets_enabled, config.stop_at_first_failure
+        init_frame, step_clock, end_trace = self._init_frame, self._step_clock, self._end_trace
+        next_of, propagate = select_next, propagate_sleep_set
+        frame = stack[-1]
+        tid = None    # None: `frame` is new
+        while True:
             if tid is None:
-                self._pop()
-                continue
-            self._execute(frame, tid)
-        return self.report
+                init_frame(frame)
+                threads, sleep = frame.pre_state.threads, frame.sleep
+                for tid in frame.enabled:
+                    if threads[tid].pending.sleep_key not in sleep:
+                        frame.backtrack.add(tid)
+                        break
+                else:
+                    end_trace(frame, BLOCKED if frame.enabled
+                              else classify_endstate(frame.pre_state, config))
+                    tid = None
+                    while tid is None and not self.stop:
+                        stack.pop()
+                        if not stack:
+                            return self.report
+                        executed = trace.pop()
+                        if executed.kind != "exit":
+                            self.counted_steps -= 1
+                        step_clocks.pop()
+                        index.pop()
+                        frame = stack[-1]
+                        if sleep_sets:
+                            frame.sleep[executed.sleep_key] = executed
+                        # Every thread run is in the backtrack set, so the
+                        # frame has a next thread only if the set has grown.
+                        if len(frame.backtrack) > len(frame.done):
+                            tid = next_of(frame)
+                    if self.stop:
+                        return self.report
 
-    def _pop(self) -> None:
-        self.stack.pop()
-        if not self.stack:
-            return
-        executed = self.trace.pop()
-        if executed.kind != "exit":
-            self.counted_steps -= 1
-        self.step_clocks.pop()
-        self.index.pop()
-        if self.config.sleep_sets_enabled:
-            self.stack[-1].sleep[executed.sleep_key] = executed
-
-    def _execute(self, frame: StackEntry, tid: ThreadId) -> None:
-        edge = self.memo.step(frame.pre_state, frame.key, tid, self.ctx)
-        outcome, key = edge[0], edge[1]
-        t = outcome.transition
-        frame.done.add(tid)
-        self._record_step_findings(outcome.findings)
-
-        clock = self._step_clock(frame, t)
-        child_clocks = dict(frame.thread_clocks)
-        child_clocks[tid] = clock
-        if t.kind == "create":
-            # The child's first transition causally follows its creation.
-            child_clocks[t.thread_target] = clock
-
-        child_sleep = (propagate_sleep_set(frame.sleep, t)
-                       if self.config.sleep_sets_enabled else {})
-        self.trace.append(t)
-        if t.kind != "exit":
-            self.counted_steps += 1
-        self.step_clocks.append(clock)
-        self.index.push(t)
-        child = StackEntry(outcome.state, child_sleep, child_clocks, key,
-                           None if key is None else edge)
-        self.stack.append(child)
-
-        if self.config.stop_at_first_failure and any(
-                f.category == "assert" for f in outcome.findings):
-            self._end_trace(child, STOPPED_ON_FAILURE)
-            self.stop = True
+            edge = memo_step(frame.pre_state, frame.key, tid, ctx)
+            outcome, key = edge[0], edge[1]
+            t, findings = outcome.transition, outcome.findings
+            frame.done.add(tid)
+            if findings:
+                self._record_step_findings(findings)
+            clock = step_clock(frame, t)
+            child_clocks = {**frame.thread_clocks, tid: clock}
+            if t.kind == "create":
+                # The child's first transition causally follows its creation.
+                child_clocks[t.thread_target] = clock
+            trace.append(t)
+            if t.kind != "exit":
+                self.counted_steps += 1
+            step_clocks.append(clock)
+            index.push(t)
+            frame = StackEntry(outcome.state, propagate(frame.sleep, t) if frame.sleep else {},
+                               child_clocks, key, None if key is None else edge)
+            stack.append(frame)
+            tid = None
+            if stop_at_failure and any(f.category == "assert" for f in findings):
+                end_trace(frame, STOPPED_ON_FAILURE)
+                self.stop = True
+                return self.report
 
 
 def explore(program: Program, config: Optional[ExplorationConfig] = None,

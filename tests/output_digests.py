@@ -8,8 +8,13 @@ script); its `src` is imported, so its own checker runs.  Each line reads
 `<corpus file> <flags> files=<n> <sha256>`, the digest covering the exit
 code, the report without its `elapsed_ms` line, and every trace file
 `--keep-all-traces` writes, by name, with the tree's path and the trace
-directory masked.  Two trees give byte-identical outputs when the `diff` of
-their digest files is empty.  pytest does not collect this file.
+directory masked.  After the corpus lines come the benchmark's own checks,
+the rows of the tree's `perfbench/workloads.py` (read as
+`tests/paired_timing.py` reads them), one line each reading
+`<workload>/<row name> <flags> files=<n> <sha256>`, checked with the row's
+flags and `--keep-all-traces`.  Two trees give byte-identical
+outputs when the `diff` of their digest files is empty.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+from paired_timing import load_workloads
 
 FLAG_SETS = [
     ["--max-thread-depth", "12"],
@@ -53,10 +60,16 @@ def main(argv: list) -> int:
     sys.path.insert(0, str(tree / "src"))
     from permute import cli
 
-    for scenario in sorted((tree / "src" / "permute" / "corpus").glob("*.scn")):
+    corpus = tree / "src" / "permute" / "corpus"
+    for scenario in sorted(corpus.glob("*.scn")):
         for flags in FLAG_SETS:
             count, sha = digest(cli, scenario, flags, tree)
             print(f"{scenario.name} {' '.join(flags)} files={count} {sha}", flush=True)
+    for workload, rows in load_workloads(tree).items():
+        for row in rows:
+            count, sha = digest(cli, corpus / f"{row.scenario}.scn", list(row.flags), tree)
+            print(" ".join([f"{workload}/{row.name}", *row.flags, f"files={count}", sha]),
+                  flush=True)
     return 0
 
 

@@ -690,9 +690,10 @@ def _outcome_contents(outcome) -> tuple:
 
 
 def _audit_served_steps(monkeypatch) -> tuple:
-    """Check every step the successor memo serves from its effect table
-    against a fresh `execute_step` of the same step, and the key it serves
-    against the successor's parts.  Returns the served steps and the ones
+    """Check every step the successor memo installs from an effect (served
+    from its effect table, or run and recorded) against a fresh
+    `execute_step` of the same step, and the key it makes against the
+    successor's parts.  Returns the served steps and the ones
     that differ, both filled as searches run."""
     served, wrong = [], []
     contexts = []
@@ -705,12 +706,12 @@ def _audit_served_steps(monkeypatch) -> tuple:
         finally:
             contexts.pop()
 
-    def audited(state, key, tid, effect):
-        entry = serve(state, key, tid, effect)
+    def audited(state, key, t, effect):
+        entry = serve(state, key, t, effect)
         outcome, successor_key = entry[0], entry[1]
         s = outcome.state
         served.append(outcome.transition)
-        fresh = runtime.execute_step(state, tid, contexts[-1])
+        fresh = runtime.execute_step(state, t.executor, contexts[-1])
         if (_outcome_contents(outcome) != _outcome_contents(fresh)
                 or list(s.objects) != sorted(s.objects)
                 or successor_key != (tuple(s.objects.values()), tuple(s.threads.values()),
@@ -895,12 +896,20 @@ def test_frame_records_equal_the_frames_derived_the_long_way(monkeypatch, bound)
 
 
 def test_repeated_steps_reuse_their_frame_records(monkeypatch):
-    # deep-lib takes 18,167 steps, 12,095 of them served by the memo: a
-    # served step installs its frame's record, scans again only for the
-    # threads it moved, and runs no race scan.  (Without records: 10,271
-    # race scans and 26,139 backtrack scans.)
+    # deep-lib takes 15,484 steps, 10,431 of them hits of the step map: a
+    # hit installs its frame's record, scans again only for the threads it
+    # moved, and runs no race scan.  The bounds are today's counts: 2,605
+    # race scans and 12,274 backtrack scans.  (Without records: 9,472 race
+    # scans, and the same backtrack scans, which a frame set up from
+    # scratch runs for the same moved threads.)
     calls = collections.Counter()
     scan, scan_races = engine.update_backtrack_sets, engine._Search._scan_races
+    step = engine.SuccessorMemo.step
+
+    def counted_step(memo, state, key, tid, ctx):
+        calls["steps"] += 1
+        calls["hits"] += (key, tid) in memo.steps
+        return step(memo, state, key, tid, ctx)
 
     def counted_scan(*args):
         calls["backtrack"] += 1
@@ -912,8 +921,10 @@ def test_repeated_steps_reuse_their_frame_records(monkeypatch):
 
     monkeypatch.setattr(engine, "update_backtrack_sets", counted_scan)
     monkeypatch.setattr(engine._Search, "_scan_races", counted_scan_races)
+    monkeypatch.setattr(engine.SuccessorMemo, "step", counted_step)
     _deep_lib_search().run()
-    assert calls["races"] <= 3500 and calls["backtrack"] <= 16000
+    assert calls["steps"] == 15484 and calls["hits"] >= 10431
+    assert calls["races"] <= 2605 and calls["backtrack"] <= 12274
 
 
 def test_host_generator_programs_leave_no_frame_records(monkeypatch):
